@@ -21,9 +21,9 @@ Why this is exact (see DESIGN.md for the full argument):
   split on the L1 outcome, and that split is a pure per-access
   classification over (L1 hit?, L2 state, is-write) resolved vectorized at
   the end.
-* **Eviction-aware per-set replay.**  L2 sets that *would* overflow no
-  longer disqualify the whole segment.  Lines touched by exactly one core,
-  held nowhere else, and mapping to an overfull set are *replay-owned*:
+* **Eviction-aware per-set replay.**  L2 sets that *would* overflow do
+  not disqualify the segment.  Lines touched by exactly one core, held
+  nowhere else, and mapping to an overfull set are *replay-owned*:
   their L2 behaviour (hit/miss, LRU position, eviction, writeback) is
   reproduced by a per-set dict replay joined with the L1 replay, with the
   whole block of accesses between leaders batched — in particular the
@@ -35,13 +35,23 @@ Why this is exact (see DESIGN.md for the full argument):
   kernel bails out before mutating any state and the caller falls back.
   Untouched residents of overfull sets carry their real state and are
   freely evictable — the reference would evict them identically.
-* **L1 victim tracking.**  L1 evictions are always allowed.  Each
+* **Per-domain replay order.**  L1 evictions are always allowed.  Each
   (core, L1 set) is an isolated LRU domain whose events are that core's
   accesses mapping to the set plus the back-invalidations emitted by the
-  line walk (plus L1 back-invalidations of L2 replay victims); replaying
-  those few events through a dict — with maximal same-line blocks
-  collapsed, which is LRU-exact — reproduces hits, misses and the final
-  LRU order bit for bit.
+  line walk; replaying them through a dict reproduces hits, misses and
+  the final LRU order bit for bit.  When the L2 set count
+  is a multiple of the L1's, every L2 set lies inside one L1 set, so an
+  L2 victim back-invalidates only into its own domain: the joint L1/L2
+  replay then runs domain by domain, and a maximal same-line block
+  collapses to one leader even across the core's accesses to other sets
+  (the tail only re-marks an already-MRU line — LRU-exact).  Other
+  geometries replay each core's events in global order.
+* **Exact L3 replay.**  The L3 is non-inclusive: the reference drops its
+  victims, so its contents never reach L1, L2 or MESI state and decide
+  only L3 hits, misses and the memory penalty.  Each touched L3 set
+  replays on its own as an LRU dict over the uncore events in global
+  order (demand queries, HITM inserts, dirty L2-victim writebacks; the
+  query first within one access), and only those sets are rebuilt.
 * **Cross-line counters.**  DTLB walks and the line-fill-buffer window
   depend on per-core access order, not on lines: the DTLB replays page-run
   leaders through the real LRU dicts, and the LFB hit-window is resolved
@@ -55,11 +65,15 @@ Why this is exact (see DESIGN.md for the full argument):
   segments (:meth:`MulticoreMachine.run_stream`), the stall accumulators
   are seeded from it so the addition sequence continues across segments.
 
-``drive_lines`` returns ``None`` when the segment is ineligible (the L3
-would evict, or an overfull L2 set would have to evict a line the scalar
-walk owns); the caller falls back to another strategy.
-``tests/test_coherence_linekernel.py`` pins bit-identical results against
-the reference loop over the full 19-program suite grid.
+``drive_lines`` returns ``None`` when the segment is ineligible (an
+overfull L2 set would have to evict a line the scalar walk owns); the
+caller falls back to another strategy.  The kernel holds about 1 KiB of
+Python lists per access, so :meth:`MulticoreMachine._drive_lines` feeds
+it bounded sub-segments that thread one tally block (exact, like
+:meth:`MulticoreMachine.run_stream`), and a refusal costs only that
+sub-segment.  ``tests/test_coherence_linekernel.py`` pins bit-identical
+results against the reference loop over the full 19-program suite grid
+and the L3-evicting training cases.
 """
 
 from __future__ import annotations
@@ -80,43 +94,33 @@ __all__ = ["drive_lines"]
 _SENT = -1
 
 
-def _fits_without_eviction(cache, touched: np.ndarray) -> bool:
-    """True when ``touched`` lines can all live in ``cache`` alongside its
-    current residents without any set exceeding its associativity."""
-    nsets = cache.nsets
-    si = (touched & cache.mask) if cache.mask else (touched % nsets)
-    occ = np.bincount(si, minlength=nsets)
-    assoc = cache.assoc
-    if occ.size and int(occ.max()) > assoc:
-        return False
-    tset = set(touched.tolist())
-    for idx, s in enumerate(cache.sets):
-        if s:
-            extra = sum(1 for ln in s if ln not in tset)
-            if extra and int(occ[idx]) + extra > assoc:
-                return False
-    return True
+def _l2_residents(caches) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every core's live L2 residents as ``(line, core, state)`` columns."""
+    lines: List[int] = []
+    states: List[int] = []
+    cores: List[int] = []
+    for c, cache in enumerate(caches):
+        k0 = len(lines)
+        for s in cache.sets:
+            if s:
+                lines.extend(s)
+                states.extend(s.values())
+        cores.extend([c] * (len(lines) - k0))
+    return (np.array(lines, dtype=np.int64), np.array(cores, dtype=np.int64),
+            np.array(states, dtype=np.int8))
 
 
-def _overfull_sets(cache, touched: np.ndarray) -> Optional[np.ndarray]:
+def _overfull_sets(cache, touched: np.ndarray,
+                   residents: np.ndarray) -> Optional[np.ndarray]:
     """Boolean mask of sets that would evict, or ``None`` when none would.
 
-    A set is overfull when its touched lines plus its untouched residents
-    exceed the associativity — the same per-set budget
-    :func:`_fits_without_eviction` checks, reported per set instead of as a
-    single verdict so the kernel can switch just those sets to dict replay.
+    A set is overfull when its touched lines plus its untouched
+    ``residents`` exceed the associativity; the kernel switches just those
+    sets to dict replay.
     """
-    nsets = cache.nsets
-    si = (touched & cache.mask) if cache.mask else (touched % nsets)
-    occ = np.bincount(si, minlength=nsets)
-    assoc = cache.assoc
-    over = occ > assoc
-    tset = set(touched.tolist())
-    for idx, s in enumerate(cache.sets):
-        if s and not over[idx]:
-            extra = sum(1 for ln in s if ln not in tset)
-            if extra and int(occ[idx]) + extra > assoc:
-                over[idx] = True
+    lines = np.concatenate([touched, residents[~np.isin(residents, touched)]])
+    si = (lines & cache.mask) if cache.mask else (lines % cache.nsets)
+    over = np.bincount(si, minlength=cache.nsets) > cache.assoc
     return over if over.any() else None
 
 
@@ -162,7 +166,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     r_line_a = sl[rstart]
     r_core_a = sc[rstart]
 
-    # ---- eligibility + ownership classification --------------------------
+    # ---- ownership classification ----------------------------------------
     # Touched lines come straight from the run leaders (already line-major),
     # so no full-array unique scans are needed.
     nl = np.empty(nruns, dtype=bool)
@@ -179,28 +183,15 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     pl = pl[keep]
     pc = pc[keep]
     # Overfull L2 sets per core: those switch to dict replay instead of
-    # disqualifying the segment.  Their current residents join the L3
-    # budget below because dirty victims are written back into L3.
+    # disqualifying the segment.
+    res_line, res_core, res_state = _l2_residents(l2_objs)
     evict_flags: List[Optional[np.ndarray]] = [None] * nt
-    evict_residents: List[np.ndarray] = []
     for c in range(nt):
         touched_c = pl[pc == c]
-        if not touched_c.size:
-            continue
-        over = _overfull_sets(l2_objs[c], touched_c)
-        if over is not None:
-            evict_flags[c] = over
-            for sidx in np.flatnonzero(over).tolist():
-                s = l2_objs[c].sets[sidx]
-                if s:
-                    evict_residents.append(
-                        np.fromiter(s, dtype=np.int64, count=len(s)))
+        if touched_c.size:
+            evict_flags[c] = _overfull_sets(
+                l2_objs[c], touched_c, res_line[res_core == c])
     have_evict = any(f is not None for f in evict_flags)
-    l3_budget = uniq_all
-    if evict_residents:
-        l3_budget = np.unique(np.concatenate([uniq_all] + evict_residents))
-    if not _fits_without_eviction(machine._l3, l3_budget):
-        return None
 
     # Replay-owned lines: touched by exactly one core, mapping to one of
     # that core's overfull sets, held by no other core, and not Shared at
@@ -215,11 +206,6 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         owner = np.empty(uniq_all.size, dtype=np.int64)
         owner[line_pos] = pc
         single = tcount == 1
-        resident_map: List[Dict[int, int]] = [{} for _ in range(nt)]
-        for o in range(nt):
-            m = resident_map[o]
-            for s in l2_objs[o].sets:
-                m.update(s)
         rep_parts: List[np.ndarray] = []
         for c in range(nt):
             flags2 = evict_flags[c]
@@ -232,23 +218,25 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
             if not cand.any():
                 continue
             cl = uniq_all[cand]
-            blocked = set()
-            for o in range(nt):
-                if o == c:
-                    blocked.update(ln for ln, s0 in resident_map[c].items()
-                                   if s0 == SHARED)
-                else:
-                    blocked.update(resident_map[o])
-            if blocked:
-                barr = np.fromiter(blocked, dtype=np.int64,
-                                   count=len(blocked))
-                cl = cl[~np.isin(cl, barr)]
+            blocked = res_line[(res_core != c) | (res_state == SHARED)]
+            if blocked.size:
+                cl = cl[~np.isin(cl, blocked)]
             if cl.size:
                 rep_parts.append(cl)
         if rep_parts:
             replay_all = (rep_parts[0] if len(rep_parts) == 1
                           else np.unique(np.concatenate(rep_parts)))
             replay_set = set(replay_all.tolist())
+
+    # Initial per-core L2 state of each touched line some core holds.
+    held: Dict[int, List[int]] = {}
+    hsel = np.isin(res_line, uniq_all)
+    for ln, o, s0 in zip(res_line[hsel].tolist(), res_core[hsel].tolist(),
+                         res_state[hsel].tolist()):
+        init = held.get(ln)
+        if init is None:
+            init = held[ln] = [0] * nt
+        init[o] = s0
 
     core_idx: List[np.ndarray] = [
         np.flatnonzero(cores_a == c) for c in range(nt)]
@@ -309,7 +297,6 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     writebacks = 0
 
     line_final: Dict[int, List[int]] = {}
-    init_sts: Dict[int, List[int]] = {}
     cmask_final: Dict[int, Tuple[int, int]] = {}
 
     cur_line = -1
@@ -327,14 +314,15 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                 if cmask:
                     cmask_final[cur_line] = (cwid, cmask)
             cur_line = line
-            st = [0] * nt
             hmask = 0
-            for o in range(nt):
-                s0 = l2_objs[o].lookup(line)
-                if s0 is not None:
-                    st[o] = s0
-                    hmask |= 1 << o
-            init_sts[line] = st.copy()
+            init = held.get(line)
+            if init is None:
+                st = [0] * nt
+            else:
+                st = init.copy()
+                for o, s0 in enumerate(init):
+                    if s0:
+                        hmask |= 1 << o
             cmask = contenders0.get(line, 0)
             cwid = 0
         g = r_g[i]
@@ -462,15 +450,22 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         if cmask:
             cmask_final[cur_line] = (cwid, cmask)
 
-    # ---- joint L1/L2 replay: per-(core, set) LRU over collapsed blocks ---
+    # ---- joint L1/L2 replay: per-(core, L1 set) LRU over collapsed blocks -
     #
     # Pure phase: everything below operates on copies; the only exit that
     # leaves this function before the mutation phases is the sentinel bail.
+    #
+    # When every L2 set lies inside one L1 set (the L2 set count is a
+    # multiple of the L1's), each (core, L1 set) is a closed domain: an L2
+    # victim shares its L1 set with the line that evicted it.  Events then
+    # replay domain by domain, so a same-line block collapses across the
+    # core's accesses to other sets.  Otherwise they replay in g order.
     l1m_g = np.zeros(n, dtype=bool)
     rm_g_a = np.array(rm_g, dtype=np.int64)
     rm_c_a = np.array(rm_c, dtype=np.int64)
     rm_line_a = np.array(rm_line, dtype=np.int64)
     l1_objs = machine._l1
+    by_domain = l2_objs[0].nsets % l1_objs[0].nsets == 0
     last_l2g: Dict[Tuple[int, int], int] = {}
     final_l1: List[List[dict]] = [[] for _ in range(nt)]
     walked_l1 = [False] * nt
@@ -490,15 +485,22 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         if not idx_c.size and not rsel.size:
             continue
         walked_l1[c] = True
-        lines_c = lines_g[idx_c]
         g_all = np.concatenate([idx_c, rm_g_a[rsel]])
-        ln_all = np.concatenate([lines_c, rm_line_a[rsel]])
+        ln_all = np.concatenate([lines_g[idx_c], rm_line_a[rsel]])
         kind = np.concatenate([np.zeros(idx_c.size, dtype=np.int8),
                                np.ones(rsel.size, dtype=np.int8)])
-        o2 = np.argsort(g_all)
+        l1c = l1_objs[c]
+        mask = l1c.mask
+        nsets = l1c.nsets
+        assoc = l1c.assoc
+        s1_all = (ln_all & mask) if mask else (ln_all % nsets)
+        # A core's events have distinct g (a back-invalidation always lands
+        # on another core's access), so these sort keys never tie.
+        o2 = np.argsort(s1_all * n + g_all if by_domain else g_all)
         g_all = g_all[o2]
         ln_all = ln_all[o2]
         kind = kind[o2]
+        s1_all = s1_all[o2]
         # Block leaders: collapse maximal same-line access blocks (the tail
         # of a block only re-marks an already-MRU line — LRU-exact).
         lead = np.empty(g_all.size, dtype=bool)
@@ -509,16 +511,13 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         ge = g_all[sel].tolist()
         le = ln_all[sel].tolist()
         ke = kind[sel].tolist()
-        l1c = l1_objs[c]
-        mask = l1c.mask
-        nsets = l1c.nsets
-        assoc = l1c.assoc
+        s1e = s1_all[sel].tolist()
         sets_c = [dict.fromkeys(s) for s in l1c.sets]
         misses: List[int] = []
         flags2 = evict_flags[c]
         if flags2 is None:
-            for gg, ln, kd in zip(ge, le, ke):
-                d = sets_c[(ln & mask) if mask else (ln % nsets)]
+            for gg, ln, kd, s1i in zip(ge, le, ke, s1e):
+                d = sets_c[s1i]
                 if kd:
                     d.pop(ln, None)
                 elif ln in d:
@@ -540,11 +539,14 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
             wcum = np.zeros(g_all.size + 1, dtype=np.int64)
             np.cumsum(w_all, out=wcum[1:])
             ends = np.append(sel[1:], g_all.size)
-            bw = ((wcum[ends] - wcum[sel]) > 0).tolist()
+            bwe = ((wcum[ends] - wcum[sel]) > 0).tolist()
             we = w_all[sel].tolist()
             l2c = l2_objs[c]
-            mask2 = l2c.mask
-            nsets2 = l2c.nsets
+            ln_sel = ln_all[sel]
+            s2_sel = ((ln_sel & l2c.mask) if l2c.mask
+                      else (ln_sel % l2c.nsets))
+            s2e = s2_sel.tolist()
+            f2e = flags2[s2_sel].tolist()
             assoc2 = l2c.assoc
             d2_map: Dict[int, dict] = {}
             for sidx in np.flatnonzero(flags2).tolist():
@@ -558,19 +560,18 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                     ln: (_SENT if (ln in touched_set
                                    and ln not in replay_set) else s0)
                     for ln, s0 in l2c.sets[sidx].items()}
-            for j, (gg, ln, kd) in enumerate(zip(ge, le, ke)):
-                s1i = (ln & mask) if mask else (ln % nsets)
-                s2i = (ln & mask2) if mask2 else (ln % nsets2)
+            for gg, ln, kd, s1i, s2i, f2, bw, w0 in zip(
+                    ge, le, ke, s1e, s2e, f2e, bwe, we):
                 d = sets_c[s1i]
                 if kd:
                     d.pop(ln, None)
-                    if flags2[s2i]:
+                    if f2:
                         d2_map[s2i].pop(ln, None)
                     continue
                 if ln in d:
                     del d[ln]
                     d[ln] = None
-                    if flags2[s2i] and bw[j]:
+                    if f2 and bw:
                         # E->M on an L1 hit updates L2 state in place
                         # (set_state does not touch LRU order).
                         d2 = d2_map[s2i]
@@ -579,7 +580,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                             d2[ln] = MODIFIED
                     continue
                 misses.append(gg)
-                if flags2[s2i]:
+                if f2:
                     d2 = d2_map[s2i]
                     v = d2.get(ln)
                     if v is not None:
@@ -589,7 +590,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                         if v == _SENT:
                             d2[ln] = _SENT
                         else:
-                            d2[ln] = MODIFIED if bw[j] else v
+                            d2[ln] = MODIFIED if bw else v
                             rp_l2hit.append(gg)
                     else:
                         # L2 miss: install (possibly evicting the LRU way).
@@ -607,10 +608,10 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                             sets_c[(vic & mask) if mask
                                    else (vic % nsets)].pop(vic, None)
                         if ln in replay_set:
-                            d2[ln] = MODIFIED if bw[j] else EXCLUSIVE
+                            d2[ln] = MODIFIED if bw else EXCLUSIVE
                             rp_ms_g.append(gg)
                             rp_ms_c.append(c)
-                            rp_ms_w.append(we[j])
+                            rp_ms_w.append(w0)
                             rp_ms_line.append(ln)
                         else:
                             # Walk-owned: the walk already emitted its
@@ -673,16 +674,23 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         ms_k_a = np.zeros(0, dtype=np.int64)
         ms_same_a = np.zeros(0, dtype=bool)
 
-    # ---- phase C: L3 resolution + per-miss penalties (g order) -----------
+    # ---- phase C: L3 LRU replay + per-miss penalties (g order) -----------
+    #
+    # The L3 is non-inclusive: the reference drops its victims, so its
+    # contents reach neither the private caches nor MESI state and decide
+    # only l3_hit / l3_miss.  Every touched L3 set therefore replays on its
+    # own as an LRU dict over the uncore events in g order: demand queries
+    # (holder-less, non-prefetched misses), HITM inserts (dirty data lands
+    # in L3 on the way through the uncore) and dirty L2-victim writebacks.
+    # Within one access the query comes first (the reference looks up L3,
+    # then installs the line into L2 and evicts), so the merge key is
+    # (g, query-before-writeback).
     l3 = machine._l3
-    l3_present: Dict[int, bool] = {}
-    l3_last: Dict[int, int] = {}
-    l3_ord = 0
+    l3_sets: Dict[int, dict] = {}
     l3_hits = 0
     l3_misses = 0
     ms_raw = np.zeros(nms, dtype=np.float64)
     ms_weff = np.zeros(nms, dtype=bool)
-    nwb = len(wb_g)
     if nms:
         # Contended HITM penalties, vectorized with the reference formulas.
         hitm_mask = ms_best_a == MODIFIED
@@ -695,53 +703,43 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         ms_raw[ms_pref] = lat.l2_hit
         ms_weff = ms_w_a.copy()
         ms_weff[ms_pref] = False
-        # L3 queries: only holder-less, non-prefetched misses reach L3;
-        # HITM services and dirty replay victims insert on the way through
-        # the uncore.  Victim writebacks happen *after* the same access's
-        # demand query (the reference installs the line, then evicts), so
-        # the merge key is (g, query-before-writeback).
-        ml_l = ms_line_a.tolist()
-        mg_l = ms_g_a.tolist()
-        mb_l = ms_best_a.tolist()
-        mp_l = ms_pref.tolist()
-        if nwb:
-            all_g = np.concatenate([ms_g_a,
-                                    np.array(wb_g, dtype=np.int64)])
-            all_seq = np.concatenate([np.zeros(nms, dtype=np.int8),
-                                      np.ones(nwb, dtype=np.int8)])
-            eo = np.lexsort((all_seq, all_g)).tolist()
-        else:
-            eo = range(nms)
-        l3q_raw: List[Tuple[int, float]] = []  # (flat ms index, raw penalty)
-        for f in eo:
-            if f >= nms:
-                ln = wb_line[f - nms]
-                l3_present[ln] = True
-                l3_last[ln] = l3_ord
-                l3_ord += 1
-                continue
-            j = f
-            bj = mb_l[j]
-            ln = ml_l[j]
-            if bj == MODIFIED:
-                l3_present[ln] = True
-                l3_last[ln] = l3_ord
-                l3_ord += 1
-            elif bj == 0 and not mp_l[j]:
-                present = l3_present.get(ln)
-                if present is None:
-                    present = ln in l3
-                if present:
-                    l3_hits += 1
-                    l3q_raw.append((j, lat.l3_hit))
-                else:
-                    l3_misses += 1
-                    l3q_raw.append((j, lat.memory))
-                    l3_present[ln] = True
-                l3_last[ln] = l3_ord
-                l3_ord += 1
-        for j, raw in l3q_raw:
-            ms_raw[j] = raw
+        query = (ms_best_a == 0) & ~ms_pref
+        q_idx = np.flatnonzero(query)
+        e_sel = np.flatnonzero(query | hitm_mask)
+        e_line = ms_line_a[e_sel]
+        e_q = query[e_sel]
+        if wb_g:
+            nwb = len(wb_g)
+            e_g = np.concatenate([ms_g_a[e_sel],
+                                  np.array(wb_g, dtype=np.int64)])
+            e_seq = np.concatenate([np.zeros(e_sel.size, dtype=np.int8),
+                                    np.ones(nwb, dtype=np.int8)])
+            eo = np.lexsort((e_seq, e_g))
+            e_line = np.concatenate(
+                [e_line, np.array(wb_line, dtype=np.int64)])[eo]
+            e_q = np.concatenate([e_q, np.zeros(nwb, dtype=bool)])[eo]
+        e_set = (e_line & l3.mask) if l3.mask else (e_line % l3.nsets)
+        assoc3 = l3.assoc
+        l3_src = l3.sets
+        q_hit: List[bool] = []
+        for ln, s3, q in zip(e_line.tolist(), e_set.tolist(), e_q.tolist()):
+            d = l3_sets.get(s3)
+            if d is None:
+                d = l3_sets[s3] = dict.fromkeys(l3_src[s3])
+            hit = ln in d
+            if q:
+                q_hit.append(hit)
+            if hit:
+                del d[ln]
+            elif len(d) >= assoc3:
+                del d[next(iter(d))]
+            d[ln] = None
+        if q_hit:
+            # Queries replay in g order, i.e. in ms order.
+            hit_a = np.array(q_hit, dtype=bool)
+            l3_hits = int(np.count_nonzero(hit_a))
+            l3_misses = hit_a.size - l3_hits
+            ms_raw[q_idx] = np.where(hit_a, lat.l3_hit, lat.memory)
 
     # ---- DTLB: page-run leaders through the real LRU dicts ---------------
     n_dtlb = 0
@@ -936,14 +934,18 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         f = line_final[ln][c]
         if f:
             moves[c].append((gg, ln, f))
-    for ln, fin in line_final.items():
-        init = init_sts[ln]
+    # Only lines some core held can need a removal or an in-place update.
+    flag_l = [None if f is None else f.tolist() for f in evict_flags]
+    for ln, init in held.items():
+        fin = line_final.get(ln)
+        if fin is None:
+            continue  # replay-owned: its set is rebuilt below
         for c in range(nt):
-            flags2 = evict_flags[c]
-            if flags2 is not None and flags2[l2_objs[c].index(ln)]:
-                continue
             f = fin[c]
             if f == init[c]:
+                continue
+            fl = flag_l[c]
+            if fl is not None and fl[l2_objs[c].index(ln)]:
                 continue
             if f == 0:
                 l2_objs[c].remove(ln)
@@ -962,12 +964,9 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
         l2_objs[c].sets[sidx] = OrderedDict(
             (ln, (line_final[ln][c] if v == _SENT else v))
             for ln, v in d2.items())
-    # L3: presence only grows; order by insertion/touch sequence.
-    if l3_last:
-        for ln, _ in sorted(l3_last.items(), key=lambda kv: kv[1]):
-            s = l3.sets[l3.index(ln)]
-            s.pop(ln, None)
-            s[ln] = SHARED
+    # L3: the touched sets, rebuilt from their replay dicts.
+    for s3, d in l3_sets.items():
+        l3.sets[s3] = OrderedDict.fromkeys(d, SHARED)
     # L1: presence/order from the replay dicts, states mirrored from L2.
     for c in range(nt):
         l1c = l1_objs[c]

@@ -34,8 +34,9 @@ semantics (``fast`` selects one; see :meth:`MulticoreMachine.__init__`):
 
 ``fast=True`` (the default) resolves to ``'auto'``: a stratified probe
 routes compressible segments to run-compression and fragmented or
-line-churning (contended) segments to the line kernel, with the reference
-loop as the fallback when the line kernel's no-eviction precondition fails.
+line-churning (contended) segments to the line kernel, which drives them in
+bounded sub-segments; a sub-segment the kernel refuses (an overfull L2 set
+would evict a line its scalar walk owns) falls back on its own.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ _LINE_RUNS_ROUTE = 0.5
 #: Segments smaller than this skip the line kernel under ``'auto'``: its
 #: fixed numpy overhead (sorts, eligibility scan) cannot pay for itself.
 _LINES_MIN = 4096
+
+#: Accesses per line-kernel call.  Longer segments are driven in
+#: sub-segments of this size that thread one tally block, which is exact
+#: (see :meth:`MulticoreMachine.run_stream`).  It bounds the kernel's
+#: per-access Python lists (about 1 KiB per access) and confines a refused
+#: sub-segment's fallback to that sub-segment.
+_LINES_BUDGET = 65536
 
 #: Drive strategies accepted by ``MulticoreMachine(fast=...)``.
 DRIVE_STRATEGIES = ("auto", "runs", "lines", "ref")
@@ -235,7 +243,7 @@ class MulticoreMachine:
         run-compression, the line kernel, or the reference loop), ``False``
         means ``'ref'``, and the strings in :data:`DRIVE_STRATEGIES` force a
         specific path — ``'lines'`` still falls back to the reference loop
-        when a segment fails the kernel's no-eviction precondition.
+        for each sub-segment the kernel refuses.
 
         ``fast_min_compression`` gates the vectorized paths per segment:
         when the trace's mean run length (accesses per same-core same-line
@@ -252,22 +260,22 @@ class MulticoreMachine:
         self.fast = fast
         self.strategy = _normalize_strategy(fast)
         self.fast_min_compression = fast_min_compression
-        #: True when the last segment fell back to the reference loop
-        #: because its compression was below the gate or the line kernel
-        #: was ineligible (telemetry).
+        #: True when run-compression's gate sent the last segment to the
+        #: reference loop (names the path ``'ref-gated'``).
         self._gate_fallback = False
-        #: True when the last forced/auto 'lines' segment was ineligible.
-        self._line_fallback = False
         #: Per-run path histogram (``{'lines': 3, 'ref-gated': 1}``): which
-        #: strategy actually drove each segment of the most recent
-        #: :meth:`run`/:meth:`run_sliced` call.  Always maintained (one dict
-        #: increment per *segment*) so benchmarks can report the chosen
-        #: strategy without enabling telemetry.
+        #: strategies drove each segment of the most recent
+        #: :meth:`run`/:meth:`run_sliced` call.  A segment the line kernel
+        #: drove only in part counts once under each path that drove some
+        #: of its sub-segments.  Always maintained (a few dict increments
+        #: per segment) so benchmarks can report the chosen strategy
+        #: without enabling telemetry.
         self.path_counts: Dict[str, int] = {}
         #: Same histogram weighted by *accesses* instead of segments — the
         #: routing-coverage metric ``repro-bench`` gates on (a single huge
         #: segment and a trivial one count the same in ``path_counts`` but
-        #: differ by orders of magnitude here).
+        #: differ by orders of magnitude here).  Accesses are attributed per
+        #: sub-segment, so a mixed segment splits exactly.
         self.path_accesses: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ run
@@ -456,58 +464,66 @@ class MulticoreMachine:
         With :data:`repro.telemetry.core.TELEMETRY` enabled, each segment
         records a ``sim.drive`` span (path taken, accesses, accesses/s)
         and the path/compression-gate counters; disabled (the default) the
-        only cost is the single ``enabled`` attribute check below.
+        only cost is the single ``enabled`` attribute check below.  A
+        segment whose sub-segments took different paths records
+        ``path='mixed'`` plus a ``paths`` attribute (accesses per path),
+        and counts once under each ``sim.drive.path.<path>``.
         """
         tel = TELEMETRY
         n = int(len(cores_a))
         if not tel.enabled:
-            seg, path = self._drive_dispatch(cores_a, addrs_a, writes_a,
-                                             state, seg)
-            self.path_counts[path] = self.path_counts.get(path, 0) + 1
-            self.path_accesses[path] = self.path_accesses.get(path, 0) + n
+            seg, parts = self._drive_dispatch(cores_a, addrs_a, writes_a,
+                                              state, seg)
+            self._count_paths(parts)
             return seg
         t0 = time.perf_counter()
         with tel.span("sim.drive", accesses=n) as sp:
-            seg, path = self._drive_dispatch(
+            seg, parts = self._drive_dispatch(
                 cores_a, addrs_a, writes_a, state, seg)
         dt = time.perf_counter() - t0
-        self.path_counts[path] = self.path_counts.get(path, 0) + 1
-        self.path_accesses[path] = self.path_accesses.get(path, 0) + n
+        self._count_paths(parts)
         rate = round(n / dt) if dt > 0 else 0
-        sp.set(path=path, accesses_per_s=rate)
+        if len(parts) == 1:
+            sp.set(path=next(iter(parts)), accesses_per_s=rate)
+        else:
+            sp.set(path="mixed", paths=dict(parts), accesses_per_s=rate)
         tel.count("sim.drive.segments")
         tel.count("sim.drive.accesses", n)
-        tel.count(f"sim.drive.path.{path}")
+        for path, k in parts.items():
+            tel.count(f"sim.drive.path.{path}")
+            tel.count(f"sim.drive.accesses.{path}", k)
         tel.gauge("sim.drive.accesses_per_s", rate)
         return seg
+
+    def _count_paths(self, parts: Dict[str, int]) -> None:
+        """Add one segment's ``{path: accesses}`` to the path histograms."""
+        for path, k in parts.items():
+            self.path_counts[path] = self.path_counts.get(path, 0) + 1
+            self.path_accesses[path] = self.path_accesses.get(path, 0) + k
 
     def _drive_dispatch(self, cores_a, addrs_a, writes_a,
                         state: "_RunState",
                         seg: "Optional[_SegmentTallies]" = None):
-        """Run one segment under ``self.strategy``; returns (seg, path).
+        """Run one segment under ``self.strategy``; returns (seg, parts).
 
-        ``path`` is the strategy that actually drove the segment:
-        ``'ref'``, ``'runs'``, ``'lines'``, or ``'ref-gated'`` when a
-        vectorized strategy fell back to the reference loop.
+        ``parts`` maps each strategy that actually drove some of the
+        segment to its accesses: ``'ref'``, ``'runs'``, ``'lines'``, or
+        ``'ref-gated'`` when a vectorized strategy fell back to the
+        reference loop.  Only the line kernel splits a segment.
         """
         strategy = self.strategy
+        n = int(len(cores_a))
         self._gate_fallback = False
-        self._line_fallback = False
         if strategy == "ref":
             return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                    "ref")
+                    {"ref": n})
         if strategy == "runs":
             seg = self._drive_fast(cores_a, addrs_a, writes_a, state,
                                    seg=seg)
-            return seg, ("ref-gated" if self._gate_fallback else "runs")
+            return seg, {("ref-gated" if self._gate_fallback
+                          else "runs"): n}
         if strategy == "lines":
-            out = self._drive_lines(cores_a, addrs_a, writes_a, state, seg)
-            if out is not None:
-                return out, "lines"
-            self._line_fallback = True
-            self._gate_fallback = True
-            return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                    "ref-gated")
+            return self._drive_lines(cores_a, addrs_a, writes_a, state, seg)
         return self._drive_auto(cores_a, addrs_a, writes_a, state, seg)
 
     def _drive_auto(self, cores_a, addrs_a, writes_a, state: "_RunState",
@@ -529,24 +545,16 @@ class MulticoreMachine:
         if min_ratio <= 0.0 or n < _LINES_MIN:
             out = self._drive_fast(cores_a, addrs_a, writes_a, state,
                                    gated=min_ratio > 0.0, seg=seg)
-            return out, ("ref-gated" if self._gate_fallback else "runs")
+            return out, {("ref-gated" if self._gate_fallback
+                          else "runs"): n}
         compression, churn, line_ratio = self._probe_gate(cores_a, addrs_a)
         if (compression >= min_ratio and churn < _CHURN_ROUTE
                 and line_ratio > _LINE_RUNS_ROUTE):
             out = self._drive_fast(cores_a, addrs_a, writes_a, state,
                                    gated=False, seg=seg)
-            return out, "runs"
-        out = self._drive_lines(cores_a, addrs_a, writes_a, state, seg)
-        if out is not None:
-            return out, "lines"
-        self._line_fallback = True
-        if compression >= min_ratio:
-            out = self._drive_fast(cores_a, addrs_a, writes_a, state,
-                                   gated=False, seg=seg)
-            return out, "runs"
-        self._gate_fallback = True
-        return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                "ref-gated")
+            return out, {"runs": n}
+        return self._drive_lines(cores_a, addrs_a, writes_a, state, seg,
+                                 fallback_runs=compression >= min_ratio)
 
     def _probe_gate(self, cores_a, addrs_a):
         """Stratified gate probe: ``(compression, churn, line_ratio)``.
@@ -596,11 +604,34 @@ class MulticoreMachine:
     def _drive_lines(self, cores_a, addrs_a, writes_a,
                      state: "_RunState",
                      seg: "Optional[_SegmentTallies]" = None,
-                     ) -> "Optional[_SegmentTallies]":
-        """Line-partitioned kernel; ``None`` when the segment is ineligible."""
+                     fallback_runs: bool = False):
+        """Line-partitioned kernel over sub-segments; returns (seg, parts).
+
+        Each sub-segment of at most :data:`_LINES_BUDGET` accesses goes to
+        the kernel; one it refuses is driven by run-compression when
+        ``fallback_runs`` (the segment probed compressible), else by the
+        reference loop (``'ref-gated'``).  ``parts`` maps each path to
+        the accesses it drove.
+        """
         from repro.coherence.linekernel import drive_lines
 
-        return drive_lines(self, cores_a, addrs_a, writes_a, state, seg)
+        if seg is None:
+            seg = _SegmentTallies(_EventTallies(), len(state.penalty))
+        n = int(len(cores_a))
+        parts: Dict[str, int] = {}
+        for lo in range(0, max(n, 1), _LINES_BUDGET):
+            hi = min(lo + _LINES_BUDGET, n)
+            sub = (cores_a[lo:hi], addrs_a[lo:hi], writes_a[lo:hi], state)
+            if drive_lines(self, *sub, seg) is not None:
+                path = "lines"
+            elif fallback_runs:
+                self._drive_fast(*sub, gated=False, seg=seg)
+                path = "runs"
+            else:
+                self._drive_ref(*sub, seg)
+                path = "ref-gated"
+            parts[path] = parts.get(path, 0) + hi - lo
+        return seg, parts
 
     def _drive_ref(self, cores_a, addrs_a, writes_a,
                    state: "_RunState",

@@ -42,8 +42,7 @@ def _run_both(program: ProgramTrace, spec=SCALED_WESTMERE,
     # fast_min_compression=0.0 disables the adaptive gate so run-compression
     # is genuinely exercised even on low-compression traces; the 'lines'
     # strategy ignores the gate and only falls back to the reference loop
-    # when a segment fails its no-eviction precondition (identical results
-    # either way).
+    # for a sub-segment the kernel refuses (identical results either way).
     fast = MulticoreMachine(spec, fast=strategy, fast_min_compression=0.0,
                             **kw).run(program)
     ref = MulticoreMachine(spec, fast=False, **kw).run(program)

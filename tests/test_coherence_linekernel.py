@@ -6,21 +6,26 @@ over its own subsequence, with cross-line counters (DTLB, LFB, L1D sets)
 handled on the unsorted stream.  Its contract is *bit-identical*
 ``_SegmentTallies`` against the per-access reference loop — these tests
 pin that over the full 19-program suite grid, the sliced-run API, HITM
-sampling, the final coherence state (cache contents *and* LRU order), and
-the ineligibility fallback.
+sampling, the final coherence state (cache contents *and* LRU order), the
+L3-overflowing training cases, and the per-sub-segment fallback.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.coherence import machine as machine_mod
 from repro.coherence.machine import (
     DRIVE_STRATEGIES,
+    MachineSpec,
     MulticoreMachine,
     SCALED_WESTMERE,
     SimulationError,
 )
 from repro.suites import all_programs, get_program
+from repro.telemetry.core import TELEMETRY
+from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import get_workload
 
@@ -170,18 +175,129 @@ def test_line_kernel_sliced_replays_warm_resident_lines_identically():
     assert _snap(ml._l3) == _snap(mr._l3)
 
 
+def _sentinel_bail_trace(prefix=0):
+    """A trace the line kernel must refuse: core 0 reads line X, which core
+    1 also reads (so X is walk-owned), then streams ``2 * assoc`` other
+    lines of X's L2 set, which evicts X from an overfull set.  ``prefix``
+    private reads of an unrelated line come first on core 0."""
+    spec = SCALED_WESTMERE
+    stride = spec.l2_lines // spec.l2_assoc * 64  # bytes between set-mates
+    x = 64 * stride
+    t0 = [x + stride // 2] * prefix + [x] * 4
+    for k in range(1, 2 * spec.l2_assoc + 1):
+        t0 += [x + k * stride] * 4
+    t1 = [x] * 4
+    return ProgramTrace([
+        make_thread(np.array(t, dtype=np.int64), np.zeros(len(t), dtype=bool))
+        for t in (t0, t1)])
+
+
 def test_line_kernel_ineligible_segment_falls_back_identically():
-    # 32k distinct lines overflow the L3 budget (32 lines per 16-way set);
-    # the forced 'lines' strategy must fall back to the reference loop
-    # (recorded as 'ref-gated') and stay identical.
-    w = get_workload("seq_read")
-    prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=262_144))
+    # A walk-owned line evicted from an overfull L2 set inside one
+    # sub-segment: the forced 'lines' strategy must fall back to the
+    # reference loop (recorded as 'ref-gated') and stay identical.
+    prog = _sentinel_bail_trace()
     m = MulticoreMachine(SCALED_WESTMERE, fast="lines")
     res = m.run(prog)
     assert m.path_counts.get("ref-gated", 0) >= 1
     assert "lines" not in m.path_counts
     _assert_identical(res, MulticoreMachine(SCALED_WESTMERE,
                                             fast=False).run(prog))
+
+
+def test_mixed_segment_attributes_paths_per_sub_segment(monkeypatch):
+    # With a 64-access budget the private prefix drives on the kernel and
+    # the sub-segment that evicts the shared line falls back on its own.
+    monkeypatch.setattr(machine_mod, "_LINES_BUDGET", 64)
+    prog = _sentinel_bail_trace(prefix=200)
+    m = MulticoreMachine(SCALED_WESTMERE, fast="lines")
+    TELEMETRY.enable(reset=True)
+    try:
+        res = m.run(prog)
+        counters = dict(TELEMETRY.counters)
+        spans = [s for s in TELEMETRY.spans if s.name == "sim.drive"]
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    _assert_identical(res, MulticoreMachine(SCALED_WESTMERE,
+                                            fast=False).run(prog))
+    acc = m.path_accesses
+    # Exactly one whole sub-segment (the evicting one) fell back.
+    assert acc == {"lines": prog.total_accesses - 64, "ref-gated": 64}
+    assert m.path_counts == {"lines": 1, "ref-gated": 1}
+    assert counters["sim.drive.segments"] == 1
+    assert counters["sim.drive.path.lines"] == 1
+    assert counters["sim.drive.path.ref-gated"] == 1
+    for path, n in acc.items():
+        assert counters[f"sim.drive.accesses.{path}"] == n
+    assert [s.attrs["path"] for s in spans] == ["mixed"]
+    assert spans[0].attrs["paths"] == acc
+
+
+#: Training cases the line kernel used to refuse for want of L3 room, at
+#: the smallest plan sizes whose L3 really evicts (L3 misses above its
+#: line count).  psumv good never gets there: the next-line prefetcher
+#: absorbs its streams and prefetch fills bypass the L3, so it is pinned
+#: at the formerly refused 9-thread n=196608 case without that witness.
+_L3_CASES = [
+    ("pdot", Mode.BAD_FS, 196_608, 6, True),
+    ("pdot", Mode.GOOD, 196_608, 6, True),
+    ("psumv", Mode.BAD_FS, 393_216, 2, True),
+    ("psumv", Mode.GOOD, 196_608, 9, False),
+    ("seq_read", Mode.BAD_MA, 262_144, 1, True),
+    ("seq_write", Mode.BAD_MA, 262_144, 1, True),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mode,size,threads,evicts", _L3_CASES,
+    ids=[f"{c[0]}-{c[1].value}-{c[2]}" for c in _L3_CASES])
+def test_line_kernel_replays_l3_evictions_identically(name, mode, size,
+                                                      threads, evicts):
+    prog = get_workload(name).trace(
+        RunConfig(threads=threads, mode=mode, size=size))
+    ml = MulticoreMachine(SCALED_WESTMERE, fast="lines",
+                          hitm_sample_period=7)
+    mr = MulticoreMachine(SCALED_WESTMERE, fast=False, hitm_sample_period=7)
+    res = ml.run(prog, keep_state=True)
+    ref = mr.run(prog, keep_state=True)
+    assert set(ml.path_accesses) == {"lines"}
+    _assert_identical(res, ref)
+    if mode is Mode.BAD_FS:
+        assert res.hitm_samples
+    if evicts:
+        assert res.counts["LONGEST_LAT_CACHE.MISS"] > SCALED_WESTMERE.l3_lines
+    for cl, cr in zip(ml._l1 + ml._l2 + [ml._l3], mr._l1 + mr._l2 + [mr._l3]):
+        assert _snap(cl) == _snap(cr), cl.name
+    assert ml._contenders == mr._contenders
+
+
+def test_line_kernel_keeps_g_order_when_l2_sets_straddle_l1_sets():
+    # 24 modulo-indexed L2 sets over 16 L1 sets: an L2 set's lines fall in
+    # two L1 sets, so an L2 victim can back-invalidate into another L1 set
+    # and the per-(core, L1 set) replay order would be wrong.  The kernel
+    # must replay such a core in g order and stay identical.
+    spec = MachineSpec(cores=2, sockets=1, l1_kib=2, l1_assoc=2, l2_kib=3,
+                       l2_assoc=2, l3_mib=1, l3_assoc=16, tlb_entries=8)
+    nsets1 = spec.l1_lines // spec.l1_assoc
+    nsets2 = spec.l2_lines // spec.l2_assoc
+    assert nsets2 % nsets1
+    rng = np.random.default_rng(7)
+    threads = []
+    for t in range(2):
+        lines = t + 2 * nsets2 * rng.integers(0, 6, 3000) + nsets2 * (
+            rng.integers(0, 2, 3000))
+        threads.append(make_thread(lines * 64, rng.random(3000) < 0.3))
+    prog = ProgramTrace(threads)
+    ml = MulticoreMachine(spec, fast="lines")
+    mr = MulticoreMachine(spec, fast=False)
+    res = ml.run(prog, keep_state=True)
+    ref = mr.run(prog, keep_state=True)
+    assert set(ml.path_accesses) == {"lines"}
+    _assert_identical(res, ref)
+    assert res.counts["L2_LINES_OUT.DEMAND_DIRTY"] > 0
+    for cl, cr in zip(ml._l1 + ml._l2, mr._l1 + mr._l2):
+        assert _snap(cl) == _snap(cr), cl.name
 
 
 def test_auto_routes_contended_trace_to_line_kernel():

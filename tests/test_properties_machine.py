@@ -6,10 +6,14 @@ negative, containment relations between cache levels, and the guarantee
 that a single-threaded run never snoops.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence.machine import MulticoreMachine
+from repro.coherence import machine as machine_mod
+from repro.coherence.machine import MachineSpec, MulticoreMachine
 from repro.trace.access import ProgramTrace, make_thread
 
 from tests.conftest import SMALL_SPEC
@@ -205,3 +209,73 @@ class TestDriveStrategyEquivalence:
             assert res.cycles_per_core == ref.cycles_per_core, strategy
             assert res.seconds == ref.seconds, strategy
             assert res.hitm_samples == ref.hitm_samples, strategy
+
+
+#: Tiny hierarchy for the overflow property: 8 L1 sets, 16 L2 sets and
+#: 8192 L3 sets, all 2-way, and a 4-entry DTLB.  Lines ``a + 8192 * b``
+#: share L3 set ``a`` (and L2 set ``a % 16``), so a few dozen lines
+#: overflow every level.
+_TINY_SPEC = MachineSpec(cores=4, sockets=2, l1_kib=1, l1_assoc=2,
+                         l2_kib=2, l2_assoc=2, l3_mib=1, l3_assoc=2,
+                         tlb_entries=4, name="tiny-overflow")
+
+#: Accesses each drive path took across the overflow property's examples;
+#: the guard test after it checks both paths really ran.
+_OVERFLOW_PATHS = {}
+
+
+@st.composite
+def overflow_traces(draw, max_threads=4, max_len=400):
+    """Multi-core traces whose lines overflow L1, L2 and L3 sets: each
+    thread mostly touches its own lines, and a drawn share of accesses
+    goes to lines every thread may touch."""
+    nt = draw(st.integers(2, max_threads))
+    shared_pct = draw(st.sampled_from([0, 5, 30]))
+    threads = []
+    for t in range(nt):
+        n = draw(st.integers(50, max_len))
+        picks = draw(st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 3),
+                      st.integers(0, 5), st.integers(0, 63)),
+            min_size=n, max_size=n))
+        addrs = []
+        for roll, a, b, off in picks:
+            base = 16 + a if roll < shared_pct else 4 * t + a
+            addrs.append((base + 8192 * b) * 64 + off)
+        writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        threads.append(make_thread(np.array(addrs, dtype=np.int64),
+                                   np.array(writes, dtype=bool)))
+    return ProgramTrace(threads)
+
+
+def _snap_all(m):
+    return ([[list(s.items()) for s in c.sets] for c in m._l1 + m._l2]
+            + [[list(s.items()) for s in m._l3.sets if s]]
+            + [sorted(m._contenders.items())])
+
+
+class TestLineKernelOverflow:
+    """The line kernel with small sub-segments stays bit-identical to the
+    reference loop while every cache level evicts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(overflow_traces())
+    def test_small_sub_segments_match_reference(self, prog):
+        ref_m = MulticoreMachine(_TINY_SPEC, fast=False, hitm_sample_period=3)
+        ref = ref_m.run(prog, keep_state=True)
+        with mock.patch.object(machine_mod, "_LINES_BUDGET", 256):
+            m = MulticoreMachine(_TINY_SPEC, fast="lines",
+                                 hitm_sample_period=3)
+            res = m.run(prog, keep_state=True)
+        assert res.counts == ref.counts
+        assert res.cycles_per_core == ref.cycles_per_core
+        assert res.hitm_samples == ref.hitm_samples
+        assert _snap_all(m) == _snap_all(ref_m)
+        for path, n in m.path_accesses.items():
+            _OVERFLOW_PATHS[path] = _OVERFLOW_PATHS.get(path, 0) + n
+
+    def test_overflow_property_exercised_both_paths(self):
+        if not _OVERFLOW_PATHS:
+            pytest.skip("overflow property did not run")
+        assert _OVERFLOW_PATHS.get("lines", 0) > 0, _OVERFLOW_PATHS
+        assert _OVERFLOW_PATHS.get("ref-gated", 0) > 0, _OVERFLOW_PATHS
