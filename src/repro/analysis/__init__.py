@@ -3,14 +3,19 @@
 The package's pieces form the third and fourth detection modalities next
 to the dynamic shadow-memory oracle and the trained classifier:
 
-* :mod:`repro.analysis.sharing` — classify every cache line a program
-  touches as private / read-shared / true-shared / false-shared, straight
-  from the trace, with no MESI simulation;
+* :mod:`repro.analysis.core` — the one sharing classifier: a columnar
+  per-(line, thread) use table that classifies every cache line as
+  private / read-shared / true-shared / false-shared, gates contention,
+  scores significance and finds near misses, with no MESI simulation.
+  It yields one report type, :class:`SharingReport`, for both front ends;
+* :mod:`repro.analysis.sharing` — the trace front end: one record per
+  access of a :class:`~repro.trace.access.ProgramTrace`;
+* :mod:`repro.analysis.predict` — the plan front end: one record per
+  (region use, line) of a symbolic
+  :class:`~repro.workloads.plan.AccessPlan`, before any trace exists,
+  with the objects on each line named;
 * :mod:`repro.analysis.symbols` — interval-indexed map from address
   ranges to named workload objects (``objects_on_line`` / ``line_owners``);
-* :mod:`repro.analysis.predict` — the same verdict vocabulary computed
-  from a symbolic :class:`~repro.workloads.plan.AccessPlan` alone, before
-  any trace exists;
 * :mod:`repro.analysis.lint` — rule engine (FS001..FS008) turning trace
   facts and predictions into actionable findings with padding
   suggestions, each carrying a stable fingerprint;
@@ -29,6 +34,14 @@ from repro.analysis.baseline import (
     load_baseline,
     save_baseline,
 )
+from repro.analysis.core import (
+    SIGNIFICANCE_THRESHOLD,
+    LineSharing,
+    LineUse,
+    NearMiss,
+    SharingReport,
+    ThreadProfile,
+)
 from repro.analysis.crosscheck import (
     CaseRecord,
     CrossChecker,
@@ -36,20 +49,8 @@ from repro.analysis.crosscheck import (
     default_grid,
 )
 from repro.analysis.lint import Finding, SharingLinter
-from repro.analysis.predict import (
-    PredictedLine,
-    Prediction,
-    PredictiveAnalyzer,
-    predict_plan,
-)
-from repro.analysis.sharing import (
-    SIGNIFICANCE_THRESHOLD,
-    LineSharing,
-    SharingReport,
-    StaticSharingAnalyzer,
-    ThreadProfile,
-    analyze_trace,
-)
+from repro.analysis.predict import PredictiveAnalyzer, predict_plan
+from repro.analysis.sharing import StaticSharingAnalyzer, analyze_trace
 from repro.analysis.symbols import Symbol, SymbolTable
 from repro.analysis.validate import (
     PredictionValidator,
@@ -67,12 +68,12 @@ __all__ = [
     "default_grid",
     "Finding",
     "SharingLinter",
-    "PredictedLine",
-    "Prediction",
     "PredictiveAnalyzer",
     "predict_plan",
     "SIGNIFICANCE_THRESHOLD",
     "LineSharing",
+    "LineUse",
+    "NearMiss",
     "SharingReport",
     "StaticSharingAnalyzer",
     "ThreadProfile",

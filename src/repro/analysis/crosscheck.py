@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.predict import PredictiveAnalyzer
-from repro.analysis.sharing import SharingReport, StaticSharingAnalyzer
+from repro.analysis.core import SharingReport
+from repro.analysis.sharing import StaticSharingAnalyzer
 from repro.baselines.shadow import (
     FS_RATE_THRESHOLD,
     MAX_THREADS,
@@ -258,12 +259,11 @@ class CrossChecker:
         self,
         detector: "FalseSharingDetector",
         shadow: Optional[ShadowMemoryDetector] = None,
-        analyzer: Optional[StaticSharingAnalyzer] = None,
         engine: Optional["ExecutionEngine"] = None,
     ) -> None:
         self.detector = detector
         self.shadow = shadow or ShadowMemoryDetector()
-        self.analyzer = analyzer or StaticSharingAnalyzer()
+        self.analyzer = StaticSharingAnalyzer()
         self.predictor = PredictiveAnalyzer()
         if engine is None:
             from repro.parallel import ExecutionEngine

@@ -1,6 +1,6 @@
 """Rule engine over static sharing facts: a false-sharing *lint*.
 
-Each rule turns :class:`~repro.analysis.sharing.SharingReport` facts into
+Each rule turns :class:`~repro.analysis.core.SharingReport` facts into
 structured :class:`Finding`s a developer can act on:
 
 * **FS001** — a contended false-shared line (the bug itself), with a
@@ -17,9 +17,9 @@ structured :class:`Finding`s a developer can act on:
   false-shared line form slot-sized per-thread ranges, the classic
   ``struct { ... } per_thread[NTHREADS]`` layout Figure 1 warns about.
 
-Four further rules are *layout-aware*: they run over a symbolic
-:class:`~repro.analysis.predict.Prediction` (no trace needed) and speak in
-object names:
+Four further rules are *layout-aware*: they run over a report predicted
+from an access plan (:mod:`repro.analysis.predict`, no trace needed) and
+speak in object names:
 
 * **FS005** — incidental adjacency: hot fields of *unrelated* per-thread
   objects collide on one contended line (not one packed slot array — that
@@ -42,21 +42,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.analysis.sharing import (
+from repro.analysis.core import (
     NEAR_MISS_MARGIN,
     SIGNIFICANCE_THRESHOLD,
     SharingReport,
-    StaticSharingAnalyzer,
 )
+from repro.analysis.sharing import analyze_trace
 from repro.core.advisor import ContendedLine, FalseSharingAdvisor
 from repro.memory.layout import LINE_SIZE
 from repro.trace.access import ProgramTrace
 from repro.utils.tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.predict import Prediction
+from repro.workloads.plan import AccessPlan
 
 #: FS001 escalates from warning to error at this significance.
 ERROR_SIGNIFICANCE = 1e-2
@@ -140,17 +138,15 @@ class SharingLinter:
     RULES = ("FS001", "FS002", "FS003", "FS004",
              "FS005", "FS006", "FS007", "FS008")
 
-    def __init__(self, analyzer: Optional[StaticSharingAnalyzer] = None,
-                 advisor: Optional[FalseSharingAdvisor] = None) -> None:
-        self.analyzer = analyzer or StaticSharingAnalyzer()
+    def __init__(self) -> None:
         #: pad_trace's layout transformation is all we use; no detector
         #: is needed to *suggest* a fix, only to price one dynamically.
-        self.advisor = advisor or FalseSharingAdvisor(detector=None)
+        self.advisor = FalseSharingAdvisor(detector=None)
 
     def lint(self, program: ProgramTrace,
              report: Optional[SharingReport] = None,
              symbols=None, scope: str = "") -> List[Finding]:
-        report = report or self.analyzer.analyze(program)
+        report = report or analyze_trace(program)
         findings: List[Finding] = []
         findings += self._fs001(program, report)
         findings += self._fs002(report)
@@ -167,19 +163,23 @@ class SharingLinter:
                     f.objects = sorted(names)
         return _ranked(findings)
 
-    def lint_prediction(self, pred: "Prediction") -> List[Finding]:
-        """Layout-aware rules (FS005-FS008) over a symbolic prediction.
+    def lint_prediction(self, pred: SharingReport) -> List[Finding]:
+        """Layout-aware rules (FS005-FS008) over a plan's report.
 
         These never see a trace: everything is derived from the access
         plan's symbol table and the predicted per-line classification, so
         every finding names the objects involved.
         """
+        plan = pred.plan
+        if plan is None:
+            raise ValueError("layout rules need a report predicted from a "
+                             "plan (predict_plan)")
         findings: List[Finding] = []
-        findings += self._fs005(pred)
-        findings += self._fs006(pred)
-        findings += self._fs007(pred)
-        findings += self._fs008(pred)
-        scope = pred.plan.scope()
+        findings += self._fs005(pred, plan)
+        findings += self._fs006(pred, plan)
+        findings += self._fs007(pred, plan)
+        findings += self._fs008(pred, plan)
+        scope = plan.scope()
         for f in findings:
             f.scope = scope
         return _ranked(findings)
@@ -317,12 +317,12 @@ class SharingLinter:
     # ------------------------------------------------------------- FS005
 
     @staticmethod
-    def _fs005(pred: "Prediction") -> List[Finding]:
+    def _fs005(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """Hot per-thread fields of *unrelated* objects colliding on one
         contended line — incidental adjacency, not a packed slot array."""
         out = []
         for pl in pred.false_shared():
-            syms = pred.plan.symbols.line_owners(pl.line)
+            syms = plan.symbols.line_owners(pl.line)
             owned = [s for s in syms if s.tid is not None]
             families = {s.group or s.name for s in owned}
             if len(owned) < 2 or len(families) < 2:
@@ -351,14 +351,13 @@ class SharingLinter:
     # ------------------------------------------------------------- FS006
 
     @staticmethod
-    def _fs006(pred: "Prediction") -> List[Finding]:
+    def _fs006(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A per-thread slot/struct group packed at a sub-line pitch."""
-        plan = pred.plan
         groups: Dict[str, List] = {}
         for s in plan.symbols:
             if s.tid is not None and s.group:
                 groups.setdefault(s.group, []).append(s)
-        by_line = {pl.line: pl for pl in pred.lines}
+        by_line = {pl.line: pl for pl in pred.shared}
         out = []
         for gname, members in sorted(groups.items()):
             tids = sorted({s.tid for s in members if s.tid is not None})
@@ -406,12 +405,11 @@ class SharingLinter:
     # ------------------------------------------------------------- FS007
 
     @staticmethod
-    def _fs007(pred: "Prediction") -> List[Finding]:
+    def _fs007(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A shared written array whose thread partition interleaves
         inside cache lines (element-cyclic ownership)."""
-        plan = pred.plan
         evid: Dict[str, List] = {}
-        for pl in pred.lines:
+        for pl in pred.shared:
             if pl.category != "false-shared":
                 continue
             syms = plan.symbols.line_owners(pl.line)
@@ -455,12 +453,11 @@ class SharingLinter:
     # ------------------------------------------------------------- FS008
 
     @staticmethod
-    def _fs008(pred: "Prediction") -> List[Finding]:
+    def _fs008(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A written object whose base is not line-aligned, straddling
         into a line another object owns."""
-        plan = pred.plan
         written = {u.symbol for u in plan.uses if u.writes}
-        by_line = {pl.line: pl for pl in pred.lines}
+        by_line = {pl.line: pl for pl in pred.shared}
         out = []
         for s in plan.symbols:
             if s.name not in written or s.size == 0:

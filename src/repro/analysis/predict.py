@@ -1,25 +1,19 @@
 """Simulation-free false-sharing prediction from symbolic access plans.
 
-The trace-based :class:`~repro.analysis.sharing.StaticSharingAnalyzer`
-decides sharing categories from materialized address streams.  This module
-reaches the same verdict vocabulary *without a trace*: it walks an
-:class:`~repro.workloads.plan.AccessPlan` — thread x stride x range region
-uses over named symbols — and computes per-line thread overlap, write
-intent and timing symbolically:
+The trace analyzer (:mod:`repro.analysis.sharing`) decides sharing from
+materialized address streams.  This module reaches the same report
+*without a trace*: it is the plan front end of :mod:`repro.analysis.core`
+and walks an :class:`~repro.workloads.plan.AccessPlan` — thread x stride x
+range region uses over named symbols:
 
-* a region use expands to the cache lines its element range covers, with
-  exact per-line element counts, byte-offset spans and (for linear sweeps)
-  visit-position windows;
-* lines touched by several threads are classified with the same four-way
-  rule as the trace analyzer: read-shared when nobody writes, true-shared
-  when a 4-byte word is written by one thread and touched by another,
-  false-shared otherwise;
-* contention uses the same hand-off gate — a writer must temporally
-  overlap another user of the line — and the same implicated-instruction
-  significance, compared against the same 1e-3 threshold;
+* a region use expands to one record per cache line its element range
+  covers, with exact per-line element counts and byte-offset spans and
+  (for linear sweeps) a modelled visit-position window;
+* the shared classifier aggregates, classifies and gates those records
+  exactly as it does a trace's accesses, and this front end names the
+  objects on every shared line and near miss;
 * per-thread locality profiles estimate line re-fetch rates from each
-  use's ``bursts_per_line``, applying the trace analyzer's footprint and
-  refetch-rate thresholds for the bad-ma verdict.
+  use's ``bursts_per_line`` (the front end's own estimator).
 
 What the symbolic pass can *prove* is layout: which named objects share a
 written line, and which threads write them (counts are exact — they come
@@ -32,485 +26,105 @@ measures exactly that gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import List
 
 import numpy as np
 
-from repro.analysis.sharing import (
-    HOSTILE_MIN_FOOTPRINT,
-    HOSTILE_REFETCH_RATE,
-    NEAR_MISS_MARGIN,
-    SIGNIFICANCE_THRESHOLD,
-)
+from repro.analysis.core import SharingReport, ThreadProfile, UseTable
 from repro.memory.layout import LINE_SIZE
-from repro.utils.tables import render_table
-from repro.workloads.plan import AccessPlan, RegionUse
-
-
-@dataclass(frozen=True)
-class PredictedUse:
-    """One thread's predicted use of one cache line."""
-
-    tid: int
-    reads: float
-    writes: float
-    pos: Tuple[float, float]
-    touch_span: Tuple[int, int]
-    write_span: Optional[Tuple[int, int]]
-
-    @property
-    def accesses(self) -> float:
-        return self.reads + self.writes
-
-    def overlaps(self, other: "PredictedUse") -> bool:
-        """Strict position-window overlap (shared endpoints are hand-offs)."""
-        return self.pos[0] < other.pos[1] and other.pos[0] < self.pos[1]
-
-
-@dataclass
-class PredictedLine:
-    """Predicted classification and evidence for one shared cache line."""
-
-    line: int
-    category: str  # "read-shared" | "true-shared" | "false-shared"
-    uses: List[PredictedUse]
-    objects: List[str] = field(default_factory=list)
-    contended: bool = False
-    significance: float = 0.0
-
-    @property
-    def address(self) -> int:
-        return self.line * LINE_SIZE
-
-    @property
-    def threads(self) -> List[int]:
-        return [u.tid for u in self.uses]
-
-    @property
-    def writers(self) -> List[int]:
-        return [u.tid for u in self.uses if u.writes]
-
-    def evidence(self) -> Dict[int, Tuple[int, int]]:
-        return {u.tid: u.write_span for u in self.uses
-                if u.write_span is not None}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "line": int(self.line),
-            "address": f"0x{self.address:x}",
-            "category": self.category,
-            "contended": self.contended,
-            "significance": self.significance,
-            "objects": list(self.objects),
-            "threads": [
-                {
-                    "tid": u.tid,
-                    "reads": round(u.reads, 3),
-                    "writes": round(u.writes, 3),
-                    "pos": [round(u.pos[0], 4), round(u.pos[1], 4)],
-                    "touch_span": list(u.touch_span),
-                    "write_span": (None if u.write_span is None
-                                   else list(u.write_span)),
-                }
-                for u in self.uses
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class PredictedProfile:
-    """Predicted locality profile of one thread."""
-
-    tid: int
-    n_accesses: int
-    footprint_lines: int
-    refetch_rate: float
-
-    @property
-    def hostile(self) -> bool:
-        return bool(self.footprint_lines >= HOSTILE_MIN_FOOTPRINT
-                    and self.refetch_rate > HOSTILE_REFETCH_RATE)
-
-
-@dataclass(frozen=True)
-class PredictedNearMiss:
-    """Two threads predicted to write tight against a line seam."""
-
-    line: int
-    tid_low: int
-    tid_high: int
-    slack_bytes: int
-    objects: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"line": int(self.line), "tid_low": int(self.tid_low),
-                "tid_high": int(self.tid_high),
-                "slack_bytes": int(self.slack_bytes),
-                "objects": list(self.objects)}
-
-
-@dataclass
-class Prediction:
-    """Full predictive-analysis result for one access plan."""
-
-    name: str
-    nthreads: int
-    total_instructions: int
-    n_lines: int
-    n_private: int
-    lines: List[PredictedLine]
-    profiles: List[PredictedProfile]
-    near_misses: List[PredictedNearMiss]
-    plan: AccessPlan
-
-    def category_counts(self) -> Dict[str, int]:
-        counts = {"private": self.n_private, "read-shared": 0,
-                  "true-shared": 0, "false-shared": 0}
-        for pl in self.lines:
-            counts[pl.category] += 1
-        return counts
-
-    def false_shared(self, contended_only: bool = True) -> List[PredictedLine]:
-        out = [pl for pl in self.lines
-               if pl.category == "false-shared"
-               and (pl.contended or not contended_only)]
-        out.sort(key=lambda pl: pl.significance, reverse=True)
-        return out
-
-    @property
-    def fs_significance(self) -> float:
-        return sum(pl.significance for pl in self.false_shared())
-
-    @property
-    def has_false_sharing(self) -> bool:
-        return self.fs_significance > SIGNIFICANCE_THRESHOLD
-
-    @property
-    def hostile_threads(self) -> List[int]:
-        return [p.tid for p in self.profiles if p.hostile]
-
-    @property
-    def verdict(self) -> str:
-        if self.has_false_sharing:
-            return "bad-fs"
-        if self.hostile_threads:
-            return "bad-ma"
-        return "good"
-
-    def object_sharing(self) -> Dict[str, str]:
-        """Worst predicted sharing category per named object.
-
-        Severity order: private < read-shared < true-shared < false-shared
-        (false sharing last because it is the category the pass exists to
-        flag — true sharing on the sync word is expected).
-        """
-        rank = {"private": 0, "read-shared": 1, "true-shared": 2,
-                "false-shared": 3}
-        out: Dict[str, str] = {s.name: "private"
-                               for s in self.plan.symbols}
-        for pl in self.lines:
-            cat = pl.category
-            if cat == "false-shared" and not pl.contended:
-                cat = "read-shared" if not pl.writers else cat
-            for name in pl.objects:
-                if rank[cat] > rank[out.get(name, "private")]:
-                    out[name] = cat
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "nthreads": self.nthreads,
-            "total_instructions": int(self.total_instructions),
-            "n_lines": int(self.n_lines),
-            "category_counts": self.category_counts(),
-            "fs_significance": self.fs_significance,
-            "verdict": self.verdict,
-            "hostile_threads": self.hostile_threads,
-            "object_sharing": dict(sorted(self.object_sharing().items())),
-            "near_misses": [nm.to_dict() for nm in self.near_misses],
-            "shared_lines": [pl.to_dict() for pl in self.lines],
-            "profiles": [
-                {
-                    "tid": p.tid,
-                    "n_accesses": int(p.n_accesses),
-                    "footprint_lines": int(p.footprint_lines),
-                    "refetch_rate": p.refetch_rate,
-                    "hostile": p.hostile,
-                }
-                for p in self.profiles
-            ],
-        }
-
-    def render(self, top: int = 12) -> str:
-        counts = self.category_counts()
-        out = [
-            f"{self.name}: {self.n_lines} lines predicted — "
-            + ", ".join(f"{counts[c]} {c}" for c in
-                        ("private", "read-shared", "true-shared",
-                         "false-shared")),
-            f"predicted verdict: {self.verdict}   "
-            f"fs significance: {self.fs_significance:.3e} "
-            f"(threshold {SIGNIFICANCE_THRESHOLD:.0e})",
-        ]
-        hot = self.false_shared(contended_only=False)[:top]
-        if hot:
-            rows = []
-            for pl in hot:
-                rows.append([
-                    f"0x{pl.address:x}",
-                    ", ".join(pl.objects) or "-",
-                    len(pl.writers),
-                    "yes" if pl.contended else "no",
-                    f"{pl.significance:.2e}",
-                ])
-            out.append(render_table(
-                ["line addr", "objects", "writers", "contended",
-                 "significance"],
-                rows, title="Predicted false-shared lines (hottest first)",
-            ))
-        if self.near_misses:
-            out.append(
-                f"{len(self.near_misses)} predicted near miss(es): "
-                + ", ".join(
-                    f"0x{nm.line * LINE_SIZE:x}"
-                    f"(T{nm.tid_low}|T{nm.tid_high}, {nm.slack_bytes}B)"
-                    for nm in self.near_misses[:6])
-            )
-        if self.hostile_threads:
-            out.append("predicted cache-hostile threads: "
-                       + ", ".join(f"T{t}" for t in self.hostile_threads))
-        return "\n".join(out)
-
-
-# -------------------------------------------------------------- expansion
-
-class _Expanded:
-    """Per-(use, line) expansion of a plan, in flat numpy columns."""
-
-    __slots__ = ("use_idx", "line", "tid", "reads", "writes",
-                 "off_lo", "off_hi", "pos_lo", "pos_hi",
-                 "elem_lo", "n_elems", "written")
-
-    def __init__(self, plan: AccessPlan) -> None:
-        cols: List[Tuple] = []
-        for u_i, use in enumerate(plan.uses):
-            sym = plan.symbols[use.symbol]
-            idx = np.arange(use.start, use.stop, use.step, dtype=np.int64)
-            addrs = sym.base + idx * sym.effective_stride
-            lines = addrs >> 6
-            offs = addrs & (LINE_SIZE - 1)
-            n = idx.size
-            bounds = np.flatnonzero(np.r_[True, lines[1:] != lines[:-1]])
-            ends = np.r_[bounds[1:], n]
-            counts = ends - bounds
-            frac = counts / float(n)
-            if use.order == "linear":
-                pos_lo = use.phase + bounds / float(n)
-                pos_hi = use.phase + ends / float(n)
-            else:
-                pos_lo = np.full(bounds.size, float(use.phase))
-                pos_hi = np.full(bounds.size, use.phase + 1.0)
-            cols.append((
-                np.full(bounds.size, u_i, dtype=np.int64),
-                lines[bounds],
-                np.full(bounds.size, use.tid, dtype=np.int64),
-                use.reads * frac,
-                use.writes * frac,
-                offs[bounds],
-                offs[ends - 1],
-                pos_lo,
-                pos_hi,
-                idx[bounds],
-                counts,
-                np.full(bounds.size, bool(use.writes)),
-            ))
-        names = self.__slots__
-        for i, name in enumerate(names):
-            setattr(self, name, np.concatenate([c[i] for c in cols])
-                    if cols else np.array([], dtype=np.int64))
+from repro.workloads.plan import AccessPlan
 
 
 class PredictiveAnalyzer:
-    """Computes a :class:`Prediction` from an access plan — no trace."""
+    """Computes a :class:`SharingReport` from an access plan — no trace."""
 
-    def analyze(self, plan: AccessPlan) -> Prediction:
-        nt = plan.nthreads
-        total_instr = plan.total_instructions
-        ex = _Expanded(plan)
-        profiles = self._profiles(plan, ex)
-        if ex.line.size == 0:
-            return Prediction(plan.name, nt, total_instr, 0, 0, [],
-                              profiles, [], plan)
+    def analyze(self, plan: AccessPlan) -> SharingReport:
+        uses = plan.uses
+        recs = ([_records(plan, u_i) for u_i in range(len(uses))]
+                or [(np.empty(0, dtype=np.int64),) * 8])
+        use_idx, line, elem_lo, n_elems, pos_lo, pos_hi, off_lo, off_hi = (
+            np.concatenate(c) for c in zip(*recs))
+        frac = n_elems / np.array([u.n_elements for u in uses],
+                                  dtype=float)[use_idx]
+        tid = np.array([u.tid for u in uses], dtype=np.int64)[use_idx]
+        reads = np.array([u.reads for u in uses], dtype=float)[use_idx]
+        writes = np.array([u.writes for u in uses], dtype=float)[use_idx]
+        written = writes > 0
+        table = UseTable(plan.nthreads, line, tid, reads * frac, writes * frac,
+                         off_lo, off_hi, written, pos_lo, pos_hi)
 
-        # ---- aggregate the (use, line) records by (line, tid) ------------
-        key = ex.line * nt + ex.tid
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-        seg_ends = np.r_[starts[1:], skey.size]
-        g_line = skey[starts] // nt
-        g_tid = (skey[starts] % nt).astype(np.int64)
-        g_reads = np.add.reduceat(ex.reads[order], starts)
-        g_writes = np.add.reduceat(ex.writes[order], starts)
-        g_tmin = np.minimum.reduceat(ex.off_lo[order], starts)
-        g_tmax = np.maximum.reduceat(ex.off_hi[order], starts)
-        wmask = ex.written[order]
-        g_wmin = np.minimum.reduceat(
-            np.where(wmask, ex.off_lo[order], LINE_SIZE), starts)
-        g_wmax = np.maximum.reduceat(
-            np.where(wmask, ex.off_hi[order], -1), starts)
-        g_pmin = np.minimum.reduceat(ex.pos_lo[order], starts)
-        g_pmax = np.maximum.reduceat(ex.pos_hi[order], starts)
+        syms = [plan.symbols[u.symbol] for u in uses]
+        base = np.array([s.base for s in syms], dtype=np.int64)
+        stride = np.array([s.effective_stride for s in syms], dtype=np.int64)
+        step = np.array([u.step for u in uses], dtype=np.int64)
 
-        # ---- group by line ----------------------------------------------
-        line_starts = np.flatnonzero(np.r_[True, g_line[1:] != g_line[:-1]])
-        line_ends = np.r_[line_starts[1:], g_line.size]
-        n_lines = line_starts.size
-        multi = (line_ends - line_starts) > 1
-        n_private = int(n_lines - np.count_nonzero(multi))
+        def words(rec: np.ndarray):
+            """Every element word of the given records."""
+            counts = n_elems[rec]
+            r = np.repeat(rec, counts)
+            k = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+            u = use_idx[r]
+            addr = base[u] + (elem_lo[r] + step[u] * k) * stride[u]
+            return addr >> 2, tid[r], written[r]
 
-        rec_order = order  # per-record permutation, for word checks
-        lines_out: List[PredictedLine] = []
-        for s, e in zip(line_starts[multi], line_ends[multi]):
-            line = int(g_line[s])
-            uses = [
-                PredictedUse(
-                    tid=int(g_tid[g]),
-                    reads=float(g_reads[g]),
-                    writes=float(g_writes[g]),
-                    pos=(float(g_pmin[g]), float(g_pmax[g])),
-                    touch_span=(int(g_tmin[g]), int(g_tmax[g])),
-                    write_span=((int(g_wmin[g]), int(g_wmax[g]))
-                                if g_writes[g] > 0 else None),
-                )
-                for g in range(s, e)
-            ]
-            conflicted = (len({u.tid for u in uses if u.writes}) > 0
-                          and self._word_conflict(plan, ex, rec_order,
-                                                  starts[s], seg_ends[e - 1],
-                                                  line))
-            pl = self._classify(line, uses, conflicted, plan, total_instr)
-            pl.objects = [sym.name
-                          for sym in plan.symbols.line_owners(line)]
-            lines_out.append(pl)
-
-        near = self._near_misses(plan, g_line, g_tid, g_writes, g_pmin,
-                                 g_pmax, g_wmin, g_wmax, line_starts,
-                                 line_ends)
-        return Prediction(plan.name, nt, total_instr, int(n_lines),
-                          n_private, lines_out, profiles, near, plan)
-
-    # ------------------------------------------------------------- helpers
+        report = table.report(plan.name, plan.total_instructions, plan.ipa,
+                              words, self._profiles(plan, use_idx, table),
+                              plan)
+        owners = plan.symbols.line_owners
+        for ls in report.shared:
+            ls.objects = [s.name for s in owners(ls.line)]
+        report.near_misses = [
+            replace(nm, objects=tuple(sorted(
+                {s.name for s in owners(nm.line)}
+                | {s.name for s in owners(nm.line + 1)})))
+            for nm in report.near_misses
+        ]
+        return report
 
     @staticmethod
-    def _word_conflict(plan: AccessPlan, ex: _Expanded,
-                       order: np.ndarray, rec_lo: int, rec_hi: int,
-                       line: int) -> bool:
-        """Whether some 4-byte word of ``line`` is written by one thread
-        and touched by another (the true-sharing rule)."""
-        touched: Dict[int, set] = {}
-        written: Dict[int, set] = {}
-        for r in order[rec_lo:rec_hi].tolist():
-            if ex.line[r] != line:
-                continue
-            use = plan.uses[int(ex.use_idx[r])]
-            sym = plan.symbols[use.symbol]
-            idx = ex.elem_lo[r] + use.step * np.arange(ex.n_elems[r])
-            words = (sym.base + idx * sym.effective_stride) >> 2
-            tid = int(ex.tid[r])
-            touched.setdefault(tid, set()).update(words.tolist())
-            if use.writes:
-                written.setdefault(tid, set()).update(words.tolist())
-        for tid, words in written.items():
-            for other, tw in touched.items():
-                if other != tid and words & tw:
-                    return True
-        return False
-
-    @staticmethod
-    def _classify(line: int, uses: List[PredictedUse], conflicted: bool,
-                  plan: AccessPlan, total_instr: int) -> PredictedLine:
-        writers = [u for u in uses if u.writes]
-        if not writers:
-            return PredictedLine(line, "read-shared", uses)
-        if conflicted:
-            return PredictedLine(line, "true-shared", uses)
-        pl = PredictedLine(line, "false-shared", uses)
-        implicated = set()
-        for w in writers:
-            for u in uses:
-                if u.tid != w.tid and w.overlaps(u):
-                    implicated.add(w.tid)
-                    implicated.add(u.tid)
-        if implicated and total_instr > 0:
-            instr = sum(u.accesses * plan.ipa[u.tid]
-                        for u in uses if u.tid in implicated)
-            pl.contended = True
-            pl.significance = instr / total_instr
-        return pl
-
-    @staticmethod
-    def _profiles(plan: AccessPlan, ex: _Expanded) -> List[PredictedProfile]:
-        out = []
-        lines_per_use = np.bincount(ex.use_idx,
+    def _profiles(plan: AccessPlan, use_idx: np.ndarray,
+                  table: UseTable) -> List[ThreadProfile]:
+        """Footprint and ``bursts_per_line`` re-fetch estimate per thread."""
+        lines_per_use = np.bincount(use_idx,
                                     minlength=len(plan.uses)).astype(float)
+        footprint = np.bincount(table.tid, minlength=plan.nthreads)
+        refetch = [0.0] * plan.nthreads
+        for use, n_l in zip(plan.uses, lines_per_use.tolist()):
+            tpl = use.accesses / n_l
+            refetch[use.tid] += n_l * min(use.bursts_per_line - 1.0,
+                                          max(tpl - 1.0, 0.0))
+        out = []
         for tid in range(plan.nthreads):
             n_acc = plan.thread_accesses(tid)
-            footprint = int(np.unique(ex.line[ex.tid == tid]).size)
-            refetch = 0.0
-            for u_i, use in enumerate(plan.uses):
-                if use.tid != tid:
-                    continue
-                n_l = lines_per_use[u_i]
-                if n_l <= 0:
-                    continue
-                tpl = use.accesses / n_l
-                refetch += n_l * min(use.bursts_per_line - 1.0,
-                                     max(tpl - 1.0, 0.0))
-            rate = float(refetch / n_acc) if n_acc else 0.0
-            out.append(PredictedProfile(tid, n_acc, footprint, rate))
-        return out
-
-    @staticmethod
-    def _near_misses(plan, g_line, g_tid, g_writes, g_pmin, g_pmax,
-                     g_wmin, g_wmax, line_starts,
-                     line_ends) -> List[PredictedNearMiss]:
-        """Sole-writer adjacent-line pairs predicted tight at the seam."""
-        n = line_starts.size
-        writer_rows = np.full(n, -1, dtype=np.int64)
-        writer_count = np.zeros(n, dtype=np.int64)
-        for i, (s, e) in enumerate(zip(line_starts, line_ends)):
-            for g in range(s, e):
-                if g_writes[g] > 0:
-                    writer_count[i] += 1
-                    writer_rows[i] = g
-        sole = np.flatnonzero(writer_count == 1)
-        out: List[PredictedNearMiss] = []
-        lined = {int(g_line[line_starts[i]]): i for i in sole.tolist()}
-        for i in sole.tolist():
-            line = int(g_line[line_starts[i]])
-            j = lined.get(line + 1)
-            if j is None:
-                continue
-            a, b = writer_rows[i], writer_rows[j]
-            if g_tid[a] == g_tid[b]:
-                continue
-            if not (g_pmin[a] < g_pmax[b] and g_pmin[b] < g_pmax[a]):
-                continue
-            slack = int(LINE_SIZE - 1 - g_wmax[a] + g_wmin[b])
-            if slack >= NEAR_MISS_MARGIN:
-                continue
-            objs = tuple(sorted(
-                {s.name for s in plan.symbols.line_owners(line)}
-                | {s.name for s in plan.symbols.line_owners(line + 1)}
-            ))
-            out.append(PredictedNearMiss(line, int(g_tid[a]), int(g_tid[b]),
-                                         slack, objs))
+            rate = float(refetch[tid] / n_acc) if n_acc else 0.0
+            out.append(ThreadProfile(tid, n_acc, int(footprint[tid]), rate))
         return out
 
 
-def predict_plan(plan: AccessPlan) -> Prediction:
+def _records(plan: AccessPlan, u_i: int):
+    """One record per cache line the ``u_i``-th use's range covers."""
+    use = plan.uses[u_i]
+    sym = plan.symbols[use.symbol]
+    idx = np.arange(use.start, use.stop, use.step, dtype=np.int64)
+    addrs = sym.base + idx * sym.effective_stride
+    lines = addrs >> 6
+    offs = addrs & (LINE_SIZE - 1)
+    n = idx.size
+    bounds = np.flatnonzero(np.r_[True, lines[1:] != lines[:-1]])
+    ends = np.r_[bounds[1:], n]
+    if use.order == "linear":
+        pos_lo = use.phase + bounds / float(n)
+        pos_hi = use.phase + ends / float(n)
+    else:
+        pos_lo = np.full(bounds.size, float(use.phase))
+        pos_hi = np.full(bounds.size, use.phase + 1.0)
+    return (np.full(bounds.size, u_i, dtype=np.int64), lines[bounds],
+            idx[bounds], ends - bounds, pos_lo, pos_hi, offs[bounds],
+            offs[ends - 1])
+
+
+def predict_plan(plan: AccessPlan) -> SharingReport:
     """One-shot convenience: predictive report of an access plan."""
     return PredictiveAnalyzer().analyze(plan)

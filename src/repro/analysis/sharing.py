@@ -4,507 +4,76 @@ Our traces are deterministic per-thread access streams, so line ownership,
 byte-offset overlap and worst-case contention are *statically* decidable
 from the :class:`~repro.trace.access.ProgramTrace` alone: nothing the MESI
 machine computes is needed to tell which cache lines are contended, only to
-price the contention.  This module computes, in O(accesses) numpy passes:
+price the contention.
 
-* per cache line, which threads read and write it, over which byte spans,
-  and *when* (first/last trace position — the proxy for time under the
-  chunked round-robin interleave);
-* a four-way classification of every line:
-
-  - ``private``      — touched by one thread only;
-  - ``read-shared``  — touched by several threads, never written;
-  - ``true-shared``  — some 4-byte word is written by one thread and
-    touched by another (the shadow oracle's true-sharing rule [33]);
-  - ``false-shared`` — several threads write the line but every word is
-    thread-exclusive (distinct threads, disjoint byte ranges);
-
-* for false-shared lines, a *contention* gate and an
-  instructions-implicated significance score.  Two threads that use
-  disjoint words of one line at disjoint times (a hand-off, e.g. block
-  boundaries of a partitioned array) cannot ping-pong, so a line counts as
-  contended only when a writer's position interval overlaps another
-  toucher's.  ``significance`` is the fraction of the program's retired
-  instructions attributable to accesses of contending threads on that line
-  — a worst-case analog of the oracle's false-sharing *rate*, comparable
-  against the same 1e-3 threshold;
-* per-thread access profiles (footprint, line re-fetch rate) that expose
-  cache-hostile strides without simulating a cache.
+This is the trace front end of :mod:`repro.analysis.core`: every access is
+one record whose position window is ``[pos, pos + 1)`` in its thread's
+stream, and the shared classifier does the rest in O(accesses) numpy
+passes.  The front end's own estimator is the per-thread locality profile
+(footprint, line re-fetch rate from revisit gaps) that exposes
+cache-hostile strides without simulating a cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.memory.layout import LINE_SIZE, line_of
+from repro.analysis.core import SharingReport, ThreadProfile, UseTable
+from repro.memory.layout import LINE_SIZE
 from repro.trace.access import ProgramTrace
-from repro.utils.tables import render_table
-
-#: Program-level decision threshold on the summed significance of contended
-#: false-shared lines.  Deliberately the same value as the shadow oracle's
-#: rate threshold ([33], ``FS_RATE_THRESHOLD``): both are "events per
-#: instruction" quantities, so the two detectors are comparable by design.
-SIGNIFICANCE_THRESHOLD = 1e-3
 
 #: An access re-fetches a line when the thread last touched that line more
 #: than this many of its own accesses ago — far enough back that a small
 #: cache with any reasonable policy has likely evicted or lost it.
 REFETCH_WINDOW = 32
 
-#: A thread's access pattern is cache-hostile when at least this fraction
-#: of its accesses are line re-fetches...
-HOSTILE_REFETCH_RATE = 0.25
-
-#: ...over a footprint too large to be cache-resident anyway.
-HOSTILE_MIN_FOOTPRINT = 256
-
-#: Two sole-writer adjacent lines are a near-miss when their write spans
-#: leave less than this much combined slack across the line boundary.
-NEAR_MISS_MARGIN = 16
-
-@dataclass(frozen=True)
-class ThreadLineUse:
-    """One thread's use of one cache line."""
-
-    tid: int
-    reads: int
-    writes: int
-    first_pos: int
-    last_pos: int
-    #: Byte-offset span (lo, hi inclusive) of every touch on the line.
-    touch_span: Tuple[int, int]
-    #: Byte-offset span of the writes, or ``None`` for a read-only user.
-    write_span: Optional[Tuple[int, int]]
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    def overlaps(self, other: "ThreadLineUse") -> bool:
-        """Whether the two usage windows can interleave in time."""
-        return (self.first_pos <= other.last_pos
-                and other.first_pos <= self.last_pos)
-
-
-@dataclass
-class LineSharing:
-    """Classification and evidence for one (non-private) cache line."""
-
-    line: int
-    category: str  # "read-shared" | "true-shared" | "false-shared"
-    uses: List[ThreadLineUse]
-    contended: bool = False
-    significance: float = 0.0
-    implicated_instructions: int = 0
-
-    @property
-    def address(self) -> int:
-        return self.line * LINE_SIZE
-
-    @property
-    def threads(self) -> List[int]:
-        return [u.tid for u in self.uses]
-
-    @property
-    def writers(self) -> List[int]:
-        return [u.tid for u in self.uses if u.writes]
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(u.accesses for u in self.uses)
-
-    @property
-    def total_writes(self) -> int:
-        return sum(u.writes for u in self.uses)
-
-    def evidence(self) -> Dict[int, Tuple[int, int]]:
-        """Per-writer written byte spans — the disjoint ranges themselves."""
-        return {u.tid: u.write_span for u in self.uses
-                if u.write_span is not None}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "line": int(self.line),
-            "address": f"0x{self.address:x}",
-            "category": self.category,
-            "contended": self.contended,
-            "significance": self.significance,
-            "implicated_instructions": self.implicated_instructions,
-            "threads": [
-                {
-                    "tid": u.tid,
-                    "reads": u.reads,
-                    "writes": u.writes,
-                    "first_pos": u.first_pos,
-                    "last_pos": u.last_pos,
-                    "touch_span": list(u.touch_span),
-                    "write_span": (None if u.write_span is None
-                                   else list(u.write_span)),
-                }
-                for u in self.uses
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class NearMiss:
-    """Two threads solely writing adjacent lines, tight against the seam.
-
-    One more struct field or a different allocation base would fuse the two
-    write regions onto one line — latent false sharing (what SHERIFF's
-    per-thread twinning would absorb at runtime).  Only temporally
-    overlapping pairs are reported: a hand-off cannot turn into ping-pong.
-    """
-
-    line: int          # the lower line of the adjacent pair
-    tid_low: int       # sole writer of ``line``
-    tid_high: int      # sole writer of ``line + 1``
-    slack_bytes: int   # unwritten bytes between the two spans
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"line": int(self.line), "tid_low": int(self.tid_low),
-                "tid_high": int(self.tid_high),
-                "slack_bytes": int(self.slack_bytes)}
-
-
-@dataclass(frozen=True)
-class ThreadProfile:
-    """Locality profile of one thread's access stream."""
-
-    tid: int
-    n_accesses: int
-    footprint_lines: int
-    line_fetches: int
-
-    @property
-    def extra_fetches(self) -> int:
-        """Line fetches beyond the compulsory one per distinct line."""
-        return self.line_fetches - self.footprint_lines
-
-    @property
-    def refetch_rate(self) -> float:
-        """Fraction of accesses that fetch a line the thread let go cold."""
-        if self.n_accesses == 0:
-            return 0.0
-        return self.extra_fetches / self.n_accesses
-
-    @property
-    def hostile(self) -> bool:
-        """Cache-hostile: heavy re-fetching over an uncacheable footprint."""
-        return (self.footprint_lines >= HOSTILE_MIN_FOOTPRINT
-                and self.refetch_rate > HOSTILE_REFETCH_RATE)
-
-
-@dataclass
-class SharingReport:
-    """Full static-analysis result for one program trace."""
-
-    name: str
-    nthreads: int
-    total_instructions: int
-    n_lines: int
-    n_private: int
-    shared: List[LineSharing]
-    profiles: List[ThreadProfile] = field(default_factory=list)
-    near_misses: List[NearMiss] = field(default_factory=list)
-
-    def category_counts(self) -> Dict[str, int]:
-        counts = {"private": self.n_private, "read-shared": 0,
-                  "true-shared": 0, "false-shared": 0}
-        for ls in self.shared:
-            counts[ls.category] += 1
-        return counts
-
-    def false_shared(
-        self, contended_only: bool = True, min_significance: float = 0.0
-    ) -> List[LineSharing]:
-        """False-shared lines, hottest first."""
-        out = [ls for ls in self.shared
-               if ls.category == "false-shared"
-               and (ls.contended or not contended_only)
-               and ls.significance >= min_significance]
-        out.sort(key=lambda ls: ls.significance, reverse=True)
-        return out
-
-    @property
-    def fs_significance(self) -> float:
-        """Summed significance of contended false-shared lines."""
-        return sum(ls.significance for ls in self.false_shared())
-
-    @property
-    def has_false_sharing(self) -> bool:
-        """The static verdict, thresholded like the oracle's rate."""
-        return self.fs_significance > SIGNIFICANCE_THRESHOLD
-
-    @property
-    def hostile_threads(self) -> List[int]:
-        return [p.tid for p in self.profiles if p.hostile]
-
-    @property
-    def verdict(self) -> str:
-        """Three-way label on the classifier's vocabulary."""
-        if self.has_false_sharing:
-            return "bad-fs"
-        if self.hostile_threads:
-            return "bad-ma"
-        return "good"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "nthreads": self.nthreads,
-            "total_instructions": self.total_instructions,
-            "n_lines": self.n_lines,
-            "category_counts": self.category_counts(),
-            "fs_significance": self.fs_significance,
-            "verdict": self.verdict,
-            "hostile_threads": self.hostile_threads,
-            "near_misses": [nm.to_dict() for nm in self.near_misses],
-            "shared_lines": [ls.to_dict() for ls in self.shared],
-            "profiles": [
-                {
-                    "tid": p.tid,
-                    "n_accesses": p.n_accesses,
-                    "footprint_lines": p.footprint_lines,
-                    "refetch_rate": p.refetch_rate,
-                    "hostile": p.hostile,
-                }
-                for p in self.profiles
-            ],
-        }
-
-    def render(self, top: int = 12) -> str:
-        counts = self.category_counts()
-        lines = [
-            f"{self.name}: {self.n_lines} lines touched — "
-            + ", ".join(f"{counts[c]} {c}" for c in
-                        ("private", "read-shared", "true-shared",
-                         "false-shared")),
-            f"verdict: {self.verdict}   "
-            f"fs significance: {self.fs_significance:.3e} "
-            f"(threshold {SIGNIFICANCE_THRESHOLD:.0e})",
-        ]
-        hot = self.false_shared(contended_only=False)[:top]
-        if hot:
-            rows = []
-            for ls in hot:
-                spans = "; ".join(
-                    f"T{t}:[{lo},{hi}]"
-                    for t, (lo, hi) in sorted(ls.evidence().items())
-                )
-                rows.append([
-                    f"0x{ls.address:x}", len(ls.writers), ls.total_writes,
-                    "yes" if ls.contended else "no",
-                    f"{ls.significance:.2e}", spans,
-                ])
-            lines.append(render_table(
-                ["line addr", "writers", "writes", "contended",
-                 "significance", "written byte spans"],
-                rows, title="False-shared lines (hottest first)",
-            ))
-        if self.near_misses:
-            lines.append(
-                f"{len(self.near_misses)} adjacent-line near miss(es): "
-                + ", ".join(f"0x{nm.line * LINE_SIZE:x}(T{nm.tid_low}|"
-                            f"T{nm.tid_high}, {nm.slack_bytes}B slack)"
-                            for nm in self.near_misses[:6])
-            )
-        if self.hostile_threads:
-            lines.append(
-                "cache-hostile access patterns in threads "
-                + ", ".join(f"T{t}" for t in self.hostile_threads)
-            )
-        return "\n".join(lines)
-
 
 class StaticSharingAnalyzer:
-    """Computes a :class:`SharingReport` from a trace in O(accesses).
-
-    ``refetch_window`` tunes the locality profile only; the sharing
-    classification has no knobs — it is a property of the trace.
-    """
-
-    def __init__(self, refetch_window: int = REFETCH_WINDOW) -> None:
-        if refetch_window < 1:
-            raise ValueError("refetch_window must be >= 1")
-        self.refetch_window = refetch_window
-
-    # ------------------------------------------------------------- analysis
+    """Computes a :class:`SharingReport` from a trace in O(accesses)."""
 
     def analyze(self, program: ProgramTrace) -> SharingReport:
         nt = program.nthreads
-        total_instr = program.total_instructions
         sizes = [t.n_accesses for t in program.threads]
-        total = sum(sizes)
-        profiles = [
-            self._profile(tid, line_of(t.addrs))
-            for tid, t in enumerate(program.threads)
-        ]
-        if total == 0:
-            return SharingReport(program.name, nt, total_instr, 0, 0, [],
-                                 profiles, [])
-
-        tid_col = np.repeat(np.arange(nt, dtype=np.int64), sizes)
-        addr_col = np.concatenate([t.addrs for t in program.threads])
-        write_col = np.concatenate([t.is_write for t in program.threads])
-        pos_col = np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in sizes]
-        )
-        lines = addr_col >> 6
-        offs = addr_col & (LINE_SIZE - 1)
-
-        # ---- per-(line, thread) aggregation via one stable sort ----------
-        key = lines * nt + tid_col
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-        g_line = skey[starts] // nt
-        g_tid = (skey[starts] % nt).astype(np.int64)
-        g_count = np.diff(np.r_[starts, skey.size])
-        g_writes = np.add.reduceat(
-            write_col[order].astype(np.int64), starts
-        )
-        # Stable sort keeps each thread's accesses in program order, so the
-        # group's first/last element carry its position interval.
-        spos = pos_col[order]
-        g_pmin = spos[starts]
-        g_pmax = spos[np.r_[starts[1:], skey.size] - 1]
-        soff = offs[order]
-        g_tmin = np.minimum.reduceat(soff, starts)
-        g_tmax = np.maximum.reduceat(soff, starts)
-        # Write spans: sentinel offsets outside [0, 63] where not a write.
-        sw = write_col[order]
-        g_wmin = np.minimum.reduceat(np.where(sw, soff, LINE_SIZE), starts)
-        g_wmax = np.maximum.reduceat(np.where(sw, soff, -1), starts)
-
-        # ---- word-conflict detection (true sharing) ----------------------
-        words = addr_col >> 2
-        pair_words = np.unique(words * nt + tid_col) // nt
-        uw, w_tids = np.unique(pair_words, return_counts=True)
-        written_words = np.unique(words[write_col])
-        conflicted = np.intersect1d(uw[w_tids >= 2], written_words,
-                                    assume_unique=True)
-        conflict_lines = set(
-            np.unique(conflicted >> (6 - 2)).tolist()
-        )
-
-        # ---- group the (line, thread) groups by line ---------------------
-        line_starts = np.flatnonzero(np.r_[True, g_line[1:] != g_line[:-1]])
-        line_ends = np.r_[line_starts[1:], g_line.size]
-        n_lines = line_starts.size
-        multi = (line_ends - line_starts) > 1
-        n_private = int(n_lines - np.count_nonzero(multi))
-
-        ipa = [t.instr_per_access for t in program.threads]
-        shared: List[LineSharing] = []
-        for s, e in zip(line_starts[multi], line_ends[multi]):
-            line = int(g_line[s])
-            uses = []
-            for g in range(s, e):
-                writes = int(g_writes[g])
-                uses.append(ThreadLineUse(
-                    tid=int(g_tid[g]),
-                    reads=int(g_count[g]) - writes,
-                    writes=writes,
-                    first_pos=int(g_pmin[g]),
-                    last_pos=int(g_pmax[g]),
-                    touch_span=(int(g_tmin[g]), int(g_tmax[g])),
-                    write_span=((int(g_wmin[g]), int(g_wmax[g]))
-                                if writes else None),
-                ))
-            shared.append(self._classify(line, uses,
-                                         line in conflict_lines,
-                                         ipa, total_instr))
-        near = self._near_misses(g_line, g_tid, g_writes, g_pmin, g_pmax,
-                                 g_wmin, g_wmax, line_starts)
-        return SharingReport(program.name, nt, total_instr,
-                             int(n_lines), n_private, shared, profiles,
-                             near)
-
-    # ------------------------------------------------------------- helpers
+        tid = np.repeat(np.arange(nt, dtype=np.int64), sizes)
+        addr = np.concatenate([t.addrs for t in program.threads])
+        write = np.concatenate([t.is_write for t in program.threads])
+        pos = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
+        offs = addr & (LINE_SIZE - 1)
+        writes = write.astype(np.int64)
+        table = UseTable(nt, addr >> 6, tid, 1 - writes, writes, offs, offs,
+                         write, pos, pos + 1)
+        return table.report(
+            program.name, program.total_instructions,
+            [t.instr_per_access for t in program.threads],
+            lambda rec: (addr[rec] >> 2, tid[rec], write[rec]),
+            self._profiles(sizes, table, pos))
 
     @staticmethod
-    def _near_misses(g_line, g_tid, g_writes, g_pmin, g_pmax,
-                     g_wmin, g_wmax, line_starts) -> List[NearMiss]:
-        """Sole-writer adjacent-line pairs packed tight against the seam.
+    def _profiles(sizes: List[int], table: UseTable,
+                  pos: np.ndarray) -> List[ThreadProfile]:
+        """Footprint and revisit-gap re-fetch rate of every thread.
 
-        Works on the (line, thread)-group arrays, so private lines — where
-        the classic near-miss lives — are covered without materializing
-        per-line objects for them.
+        Within a table row the records keep program order (stable sort),
+        so consecutive position differences are the thread-local revisit
+        gaps; a gap wider than :data:`REFETCH_WINDOW` is a re-fetch.
         """
-        # Lines written by exactly one thread, with that writer's facts.
-        w_per_line = np.add.reduceat((g_writes > 0).astype(np.int64),
-                                     line_starts)
-        sole_mask = w_per_line == 1
-        if not sole_mask.any():
-            return []
-        first_writer = np.minimum.reduceat(
-            np.where(g_writes > 0, np.arange(g_writes.size), g_writes.size),
-            line_starts,
-        )
-        rows = first_writer[sole_mask]
-        wline = g_line[rows]
-        adj = np.flatnonzero(wline[1:] == wline[:-1] + 1)
-        out: List[NearMiss] = []
-        for i in adj.tolist():
-            a, b = rows[i], rows[i + 1]
-            if g_tid[a] == g_tid[b]:
-                continue
-            if g_pmin[a] > g_pmax[b] or g_pmin[b] > g_pmax[a]:
-                continue  # temporally disjoint: a hand-off, not a risk
-            slack = int(LINE_SIZE - 1 - g_wmax[a] + g_wmin[b])
-            if slack >= NEAR_MISS_MARGIN:
-                continue
-            out.append(NearMiss(line=int(wline[i]), tid_low=int(g_tid[a]),
-                                tid_high=int(g_tid[b]), slack_bytes=slack))
-        return out
-
-    @staticmethod
-    def _classify(line: int, uses: List[ThreadLineUse], conflicted: bool,
-                  ipa: List[float], total_instr: int) -> LineSharing:
-        writers = [u for u in uses if u.writes]
-        if not writers:
-            return LineSharing(line, "read-shared", uses)
-        if conflicted:
-            return LineSharing(line, "true-shared", uses)
-        # Several threads, writes present, every word thread-exclusive:
-        # false sharing by layout.  Contention needs temporal overlap of a
-        # writer with any other user — a pure hand-off cannot ping-pong.
-        ls = LineSharing(line, "false-shared", uses)
-        implicated = set()
-        for w in writers:
-            for u in uses:
-                if u.tid != w.tid and w.overlaps(u):
-                    implicated.add(w.tid)
-                    implicated.add(u.tid)
-        if implicated and total_instr > 0:
-            instr = sum(u.accesses * ipa[u.tid]
-                        for u in uses if u.tid in implicated)
-            ls.contended = True
-            ls.implicated_instructions = int(round(instr))
-            ls.significance = instr / total_instr
-        return ls
-
-    def _profile(self, tid: int, lines_t: np.ndarray) -> ThreadProfile:
-        n = int(lines_t.size)
-        if n == 0:
-            return ThreadProfile(tid, 0, 0, 0)
-        order = np.argsort(lines_t, kind="stable")
-        sl = lines_t[order]
-        first = np.r_[True, sl[1:] != sl[:-1]]
-        # Within a line's group the original indices ascend (stable sort),
-        # so consecutive differences are the thread-local revisit gaps.
-        gaps = np.diff(order.astype(np.int64), prepend=np.int64(0))
-        refetch = (~first) & (gaps > self.refetch_window)
-        distinct = int(np.count_nonzero(first))
-        return ThreadProfile(
-            tid=tid,
-            n_accesses=n,
-            footprint_lines=distinct,
-            line_fetches=distinct + int(np.count_nonzero(refetch)),
-        )
+        nt = len(sizes)
+        spos = pos[table.order]
+        first = np.zeros(spos.size, dtype=bool)
+        first[table.starts] = True
+        refetch = ~first & (np.diff(spos, prepend=spos[:1]) > REFETCH_WINDOW)
+        row_refetches = np.add.reduceat(refetch.astype(np.int64),
+                                        table.starts)
+        n_refetch = np.bincount(table.tid, weights=row_refetches,
+                                minlength=nt)
+        footprint = np.bincount(table.tid, minlength=nt)
+        return [
+            ThreadProfile(t, n, int(footprint[t]),
+                          int(n_refetch[t]) / n if n else 0.0)
+            for t, n in enumerate(sizes)
+        ]
 
 
 def analyze_trace(program: ProgramTrace) -> SharingReport:

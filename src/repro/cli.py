@@ -302,7 +302,7 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         import json as _json
 
         from repro.analysis.lint import SharingLinter, render_findings
-        from repro.analysis.sharing import StaticSharingAnalyzer
+        from repro.analysis.sharing import analyze_trace
 
         _apply_jobs(args)
         if args.crosscheck:
@@ -323,9 +323,8 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         target, kind = _resolve_target(args.workload)
         cfg = _build_config(target, kind, args)
         program = target.trace(cfg)
-        analyzer = StaticSharingAnalyzer()
-        rep = analyzer.analyze(program)
-        findings = SharingLinter(analyzer).lint(program, rep)
+        rep = analyze_trace(program)
+        findings = SharingLinter().lint(program, rep)
         if args.json:
             print(_json.dumps(
                 {"report": rep.to_dict(),
@@ -406,13 +405,14 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
 
             grid = registry_grid(threads=args.grid_threads,
                                  pattern=args.pattern)
-            preds = [predict_plan(w.plan(cfg)) for w, cfg in grid]
+            plans = [w.plan(cfg) for w, cfg in grid]
         else:
             if not args.workload:
                 parser.error("a workload name is required unless --all")
             target, kind = _resolve_target(args.workload)
             cfg = _build_config(target, kind, args)
-            preds = [predict_plan(target.plan(cfg))]
+            plans = [target.plan(cfg)]
+        preds = [predict_plan(plan) for plan in plans]
         findings = [f for pred in preds
                     for f in linter.lint_prediction(pred)]
         payload = {
@@ -436,11 +436,11 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
             print(_json.dumps(payload, indent=2, sort_keys=True))
         else:
             if args.all:
-                rows = [[pred.plan.scope(), pred.verdict,
+                rows = [[plan.scope(), pred.verdict,
                          f"{pred.fs_significance:.2e}",
                          sum(1 for f in findings
-                             if f.scope == pred.plan.scope())]
-                        for pred in preds]
+                             if f.scope == plan.scope())]
+                        for plan, pred in zip(plans, preds)]
                 print(render_table(
                     ["case", "verdict", "fs significance", "findings"],
                     rows, title="Predictive sweep"))

@@ -226,6 +226,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _cmd_start(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve.server import DetectionServer
 
@@ -240,23 +241,23 @@ def _cmd_start(args) -> int:
     )
 
     async def _run() -> None:
+        # SIGINT/SIGTERM stop the server inside the live loop, and also
+        # when the shell started us with SIGINT ignored.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, stop.set)
         host, port = await server.start()
         stats = server.stats()
         print(f"repro-serve listening on {host}:{port} "
               f"(tree: {stats['model']['nodes']} nodes, "
-              f"batch<= {args.max_batch}, backlog {args.backlog})")
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+              f"batch<= {args.max_batch}, backlog {args.backlog})",
+              flush=True)
+        await stop.wait()
+        print("shutting down (draining in-flight requests)", flush=True)
+        await server.stop(drain=True)
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("shutting down (draining in-flight requests)")
-        import asyncio as _a
-
-        _a.run(server.stop(drain=True))
+    asyncio.run(_run())
     return 0
 
 
@@ -430,7 +431,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    import time
+    import signal
+    import threading
 
     model = _load_or_train_model(args.model)
     fleet_thread = _build_fleet(args, model, port=args.port)
@@ -440,13 +442,15 @@ def _cmd_fleet(args) -> int:
     print(f"repro-serve fleet listening on {host}:{port} "
           f"({sup['alive']}/{sup['workers']} workers, "
           f"batch<= {args.max_batch}, "
-          f"admission {'on' if args.admit_rate or args.source_rate else 'off'})")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("shutting down fleet")
-        fleet_thread.stop()
+          f"admission {'on' if args.admit_rate or args.source_rate else 'off'})",
+          flush=True)
+    # Explicit handlers: a SIGINT the shell set to ignored still stops us.
+    stop = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: stop.set())
+    stop.wait()
+    print("shutting down fleet", flush=True)
+    fleet_thread.stop()
     return 0
 
 

@@ -130,14 +130,18 @@ class HashRing:
 # Fast-path scanners: pull routing facts out of a request line without a
 # full JSON parse.  Anything they cannot settle falls back to json.loads;
 # deep validation always happens at the worker, which parses the same raw
-# bytes the client sent.
+# bytes the client sent.  A scan is only trusted on a flat object whose
+# routing keys each appear once (see ``_peek_classify``).
 _OP_RE = re.compile(rb'"op"\s*:\s*"([a-z_]+)"')
-_SOURCE_RE = re.compile(rb'"source"\s*:\s*"((?:[^"\\]|\\.){1,256})"')
-_N_RE = re.compile(rb'"n"\s*:\s*(\d+)')
+_SOURCE_RE = re.compile(rb'"source"\s*:\s*"([^"]{1,256})"')
+_N_RE = re.compile(rb'"n"\s*:\s*(\d+)\s*[,}]')
+_BATCH_RE = re.compile(rb'"batch"\s*:')
+_SINGLE_RE = re.compile(rb'"(?:features|counts)"\s*:')
 _ID_RE = re.compile(
     rb'"id"\s*:\s*("(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?'
     rb'|true|false|null)'
 )
+_ROUTING_KEYS = (b'"op"', b'"source"', b'"n"', b'"id"')
 
 
 class _InFlight:
@@ -504,10 +508,9 @@ class DetectionRouter:
         if op == "classify":
             n = len(doc["batch"]) if isinstance(doc.get("batch"), list) else 1
             source = str(doc.get("source", default_source))
-            id_match = _ID_RE.search(line)
             await self._forward_classify(
                 line, source, max(n, 1),
-                id_match.group(1) if id_match else None, responses
+                json.dumps(rid).encode() if "id" in doc else None, responses
             )
         elif op == "ping":
             await responses.put({"id": rid, "ok": True,
@@ -551,29 +554,42 @@ class DetectionRouter:
     def _peek_classify(
         self, line: bytes, default_source: str
     ) -> Optional[Tuple[str, int, Optional[bytes]]]:
-        """Routing facts from regex scans alone, or None to force a parse."""
-        if b'"batch"' in line:
+        """Routing facts from regex scans alone, or None to force a parse.
+
+        A scan finds the first match at any depth, while ``json.loads``
+        keeps the *last* duplicate key and only top-level keys.  The two
+        agree on a flat object whose routing keys each appear once and
+        whose strings hold no escapes (so every ``"`` delimits a string
+        and a ``"key":`` match is a real key); anything else — a second
+        ``{``, a repeated key name, a backslash — forces a parse.
+        """
+        if (b"\\" in line or line.count(b"{") > 1
+                or any(line.count(key) > 1 for key in _ROUTING_KEYS)):
+            return None
+        if _BATCH_RE.search(line):
             n_match = _N_RE.search(line)
             if n_match is None:
                 return None
             n = int(n_match.group(1))
             if n < 1:
                 return None  # let the worker reject it coherently
-        elif b'"features"' in line or b'"counts"' in line:
+        elif _SINGLE_RE.search(line):
             n = 1
         else:
             return None
         source_match = _SOURCE_RE.search(line)
-        if source_match is None:
-            source = default_source if b'"source"' not in line else None
-            if source is None:
-                return None
-        else:
+        if source_match is not None:
             try:
-                source = json.loads(b'"' + source_match.group(1) + b'"')
-            except json.JSONDecodeError:
+                source = source_match.group(1).decode("utf-8")
+            except UnicodeDecodeError:
                 return None
+        elif b'"source"' in line:
+            return None  # a source the scan cannot read
+        else:
+            source = default_source
         id_match = _ID_RE.search(line)
+        if id_match is None and b'"id"' in line:
+            return None  # an id the scan cannot copy verbatim
         return source, n, id_match.group(1) if id_match else None
 
     async def _forward_classify(self, line: bytes, source: str, n: int,

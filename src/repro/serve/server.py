@@ -197,7 +197,7 @@ class DetectionServer:
         self._batch_task = None
 
     async def serve_forever(self) -> None:
-        """Run until cancelled (the CLI's foreground mode)."""
+        """Run until cancelled (the fleet's worker processes)."""
         if self._server is None:
             await self.start()
         assert self._server is not None

@@ -11,6 +11,7 @@ from repro.analysis.lint import (
     render_findings,
 )
 from repro.analysis.predict import predict_plan
+from repro.analysis.sharing import analyze_trace
 from repro.analysis.symbols import Symbol
 from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import RunConfig
@@ -130,7 +131,7 @@ class TestLinterFrontend:
 
     def test_precomputed_report_reused(self, linter):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        rep = linter.analyzer.analyze(prog)
+        rep = analyze_trace(prog)
         assert rules(linter.lint(prog, rep)) == rules(linter.lint(prog))
 
     def test_mini_program_bad_fs(self, linter):

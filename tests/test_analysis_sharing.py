@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sharing import (
+from repro.analysis.core import (
     HOSTILE_MIN_FOOTPRINT,
     SIGNIFICANCE_THRESHOLD,
+    LineUse,
     SharingReport,
-    StaticSharingAnalyzer,
-    ThreadLineUse,
-    analyze_trace,
 )
+from repro.analysis.sharing import StaticSharingAnalyzer, analyze_trace
 from repro.trace.access import ProgramTrace, empty_thread, make_thread
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import get_workload
@@ -170,20 +169,17 @@ class TestProfiles:
         rep = analyzer.analyze(ProgramTrace([make_thread(np.tile(once, 50))]))
         assert not rep.profiles[0].hostile
 
-    def test_refetch_window_validation(self):
-        with pytest.raises(ValueError):
-            StaticSharingAnalyzer(refetch_window=0)
 
-
-class TestThreadLineUse:
+class TestLineUse:
     def test_overlap_rule(self):
+        # a trace access at position p occupies the window [p, p + 1)
         def use(first, last):
-            return ThreadLineUse(0, 1, 1, first, last, (0, 0), (0, 0))
+            return LineUse(0, 1, 1, (first, last + 1), (0, 0), (0, 0))
 
         assert use(0, 10).overlaps(use(5, 20))
         assert use(5, 20).overlaps(use(0, 10))
-        assert use(0, 10).overlaps(use(10, 20))  # touching counts
-        assert not use(0, 9).overlaps(use(10, 20))
+        assert use(0, 10).overlaps(use(10, 20))  # same position counts
+        assert not use(0, 9).overlaps(use(10, 20))  # shared end: hand-off
 
 
 class TestReport:

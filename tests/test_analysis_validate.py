@@ -111,3 +111,30 @@ class TestExplanations:
         assert not case.unexplained
         if case.predicted_only:
             assert case.explanations
+
+
+class TestFullGrids:
+    """The whole registry and suite, not a subset: the analyzers' gates."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        return PredictionValidator().validate_registry()
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return PredictionValidator().validate_suite()
+
+    def test_registry_perfect_and_explained(self, registry):
+        assert len(registry.cases) == 29
+        assert registry.micro_precision == 1.0
+        assert registry.micro_recall == 1.0
+        assert not [u for c in registry.cases for u in c.unexplained]
+
+    def test_suite_full_recall_and_explained(self, suite):
+        assert len(suite.cases) == 19
+        assert suite.micro_recall == 1.0
+        assert not [u for c in suite.cases for u in c.unexplained]
+
+    def test_suite_predict_matches_static_everywhere(self, suite):
+        assert [c.scope for c in suite.cases
+                if c.predict_verdict != c.static_verdict] == []

@@ -143,6 +143,8 @@ class TestPredictCLI:
         doc = json.loads(out_path.read_text())
         assert doc["baseline_diff"]["clean"]
         assert doc["baseline_diff"]["counts"]["new"] == 0
+        # a finding that silently disappears is a regression too
+        assert doc["baseline_diff"]["counts"]["fixed"] == 0
 
     def test_fail_on_new_without_baseline_entry(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"

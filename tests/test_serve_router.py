@@ -21,7 +21,7 @@ from repro.ml.c45 import C45Classifier
 from repro.ml.dataset import Dataset
 from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient
-from repro.serve.router import HashRing, RouterThread
+from repro.serve.router import DetectionRouter, HashRing, RouterThread
 from repro.serve.server import ServerThread
 
 N_FEATURES = len(FEATURES)
@@ -301,3 +301,110 @@ def test_reload_broadcasts_to_all_workers(clf, tmp_path, pool):
     resp = client.request({"op": "reload", "path": str(path)})
     assert resp["reloaded"] is True
     assert set(resp["workers"]) == set(workers)
+
+
+# ------------------------------------------------------- peek vs parse
+
+_PEEK_KEYS = ["source", "n", "id", "batch", "features", "counts", "meta",
+              "op"]
+_tricky_text = st.text(alphabet=list('abn{}[]":,\\ 01é☃\t'),
+                       max_size=10)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 2 ** 40),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     _tricky_text, st.sampled_from(_PEEK_KEYS))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(_PEEK_KEYS) | _tricky_text, inner,
+                        max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def request_lines(draw):
+    """JSON object lines with duplicate, nested and escaped keys."""
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(_PEEK_KEYS) | _tricky_text, _values),
+        max_size=7))
+    ascii_only = draw(st.booleans())
+    sep = draw(st.sampled_from([",", ", ", " ,\t"]))
+    body = sep.join(json.dumps(k, ensure_ascii=ascii_only) + ":"
+                    + json.dumps(v, ensure_ascii=ascii_only)
+                    for k, v in pairs)
+    return ("{" + body + "}\n").encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None)
+@given(request_lines())
+def test_peek_agrees_with_json_or_defers(line):
+    """The router's scan returns exactly the top-level source, n and id
+    that ``json.loads`` sees, or None so the line gets parsed."""
+    got = DetectionRouter()._peek_classify(line, "default-src")
+    if got is None:
+        return
+    doc = json.loads(line)
+    source, n, id_token = got
+    assert source == doc.get("source", "default-src")
+    assert n == (doc["n"] if "batch" in doc else 1)
+    assert (None if id_token is None else json.loads(id_token)) == \
+        doc.get("id")
+
+
+def test_peek_defers_on_duplicate_source():
+    line = b'{"source":"a","batch":[[1.0]],"n":1,"source":"b"}\n'
+    assert DetectionRouter()._peek_classify(line, "d") is None
+
+
+def test_peek_defers_on_nested_n():
+    line = b'{"meta":{"n":1},"batch":[[1.0],[2.0],[3.0]],"n":3}\n'
+    assert DetectionRouter()._peek_classify(line, "d") is None
+
+
+def _row(rng):
+    return ", ".join(repr(float(v)) for v in rng.normal(size=N_FEATURES))
+
+
+def test_duplicate_source_routes_to_parsed_source(pool):
+    """json.loads keeps the last duplicate: the worker's source, "b", is
+    the one the router accounts the verdicts to."""
+    rt, _, client = pool
+    rng = np.random.default_rng(13)
+    line = (f'{{"source": "a", "id": 7, "batch": [[{_row(rng)}]], "n": 1, '
+            f'"source": "b"}}\n')
+    with socket.create_connection((rt.router.host, rt.router.port)) as s:
+        s.sendall(line.encode())
+        resp = json.loads(s.makefile("rb").readline())
+    assert resp["id"] == 7 and len(resp["labels"]) == 1
+    assert client.request({"op": "verdicts", "source": "b"})["verdicts"]
+    assert client.request({"op": "verdicts",
+                           "source": "a"})["error"] == "bad_request"
+
+
+def test_nested_n_charges_every_row(clf):
+    """A nested "n" must not undercharge admission: three rows cost three
+    tokens, so a two-token burst sheds the whole request."""
+    rt = RouterThread(admission=AdmissionController(rate=1e-9, burst=2))
+    worker = ServerThread(clf)
+    try:
+        host, port = rt.start()
+        whost, wport = worker.start()
+        rt.call(rt.router.add_worker, "w0", whost, wport)
+        rng = np.random.default_rng(14)
+        rows = ", ".join(f"[{_row(rng)}]" for _ in range(3))
+        line = (f'{{"meta": {{"n": 1}}, "source": "s", "batch": [{rows}], '
+                f'"n": 3}}\n')
+        with socket.create_connection((host, port)) as s:
+            s.sendall(line.encode())
+            resp = json.loads(s.makefile("rb").readline())
+        assert resp["error"] == "overloaded"
+        with ServeClient(host, port) as client:
+            stats = client.stats()
+        assert stats["shed"]["admission"] == 3
+        v = stats["vectors"]
+        assert v["received"] == 3
+        assert v["received"] == (v["completed"] + v["shed"] + v["errors"]
+                                 + v["inflight"])
+    finally:
+        rt.stop()
+        worker.stop()
